@@ -9,8 +9,9 @@ REPRO_JOBS ?= 1
 MEM ?=
 BASE ?= BENCH_PR5.json
 
-.PHONY: test bench bench-scaling bench-compare bench-quick calibrate \
-	calibrate-check docs-check experiments examples quickcheck clean
+.PHONY: test bench bench-scaling bench-compare bench-quick bench-cold \
+	bench-cold-compare calibrate calibrate-check docs-check experiments \
+	examples quickcheck clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -46,6 +47,19 @@ bench-scaling:
 bench-compare:
 	PYTHONPATH=src $(PYTHON) tools/bench_compare.py $(BASE) \
 		BENCH_PR10.json --tiers
+
+# The cold benchmark that performance claims cite (bench/README.md):
+# every workload in fresh single-threaded children, results in
+# bench/out/.  bench-cold-compare judges those results against another
+# commit's, e.g. make bench-cold-compare BASE="../parent/bench/out/*.json"
+bench-cold:
+	PYTHONPATH=src $(PYTHON) -m bench run
+
+bench-cold-compare:
+	@case "$(BASE)" in BENCH_PR*) \
+		echo "usage: make bench-cold-compare BASE='<parent bench/out/*.json>'"; \
+		exit 2;; esac
+	PYTHONPATH=src $(PYTHON) -m bench compare $(BASE) -- bench/out/*.json
 
 docs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_docs.py -q

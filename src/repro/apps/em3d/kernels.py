@@ -32,13 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.em3d.graph import Em3dGraph, initial_values
-from repro.params import CYCLE_NS, LINE_BYTES, LOCAL_ADDR_MASK, WORD_BYTES
+from repro.params import CYCLE_NS, LINE_BYTES, WORD_BYTES
 from repro.splitc.gptr import ADDR_MASK as GPTR_ADDR_MASK
 from repro.splitc.gptr import PE_SHIFT as GPTR_PE_SHIFT
 from repro.splitc.gptr import GlobalPtr
-from repro.node.write_buffer import PendingWrite
 from repro.splitc.runtime import run_splitc
 from repro.trace import tracer as _trace
+
+try:  # numpy is optional: without it the compute phase runs per access.
+    import numpy as np
+except ImportError:  # pragma: no cover - exercised via numpy-less images
+    np = None
 
 __all__ = ["Em3dResult", "Layout", "VERSIONS", "run_em3d"]
 
@@ -128,35 +132,26 @@ def _setup(machine, graph: Em3dGraph, version: str,
     nedges = n * graph.degree
     e0 = initial_values(graph, "e", seed)
     h0 = initial_values(graph, "h", seed)
-    from array import array as _array
     for pe in range(graph.num_pes):
         mem = machine.node(pe).memsys.memory
         # Fields, ghosts, and adjacency live in flat typed segments;
-        # setup (the paper's untimed preprocessing) fills the segment
-        # buffers directly.  The adjacency region interleaves two
-        # stride-16 segments: int64 neighbor references at even words,
-        # float64 weights at odd words.
+        # setup (the paper's untimed preprocessing) fills them
+        # directly.  The adjacency region interleaves two stride-16
+        # segments: int64 neighbor references at even words, float64
+        # weights at odd words.
         mem.alloc_segment(layout.e_ghosts, max_ghosts, "f8", ghost_stride)
         mem.alloc_segment(layout.h_ghosts, max_ghosts, "f8", ghost_stride)
-        ev = mem.segment_at(layout.e_vals)
-        hv = mem.segment_at(layout.h_vals)
-        ev.data[0:n] = _array("d", e0[pe])
-        hv.data[0:n] = _array("d", h0[pe])
-        ev.define_range(0, n)
-        hv.define_range(0, n)
+        mem.segment_at(layout.e_vals).fill(0, e0[pe])
+        mem.segment_at(layout.h_vals).fill(0, h0[pe])
         for direction in ("e", "h"):
             adj = graph.e_adj if direction == "e" else graph.h_adj
             plan = graph.e_plan if direction == "e" else graph.h_plan
             vals = layout.h_vals if direction == "e" else layout.e_vals
             ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
             base = layout.e_adj if direction == "e" else layout.h_adj
-            refs = mem.alloc_segment(base, nedges, "i8",
-                                     entry_words * WORD_BYTES)
-            weights = mem.alloc_segment(base + WORD_BYTES, nedges, "f8",
-                                        entry_words * WORD_BYTES)
-            write_ref = refs.write
-            write_weight = weights.write
-            j = 0
+            slots = plan.ghost_slot[pe]
+            refs = []
+            weights = []
             for edges in adj[pe]:
                 for owner, idx, weight in edges:
                     if version == "simple":
@@ -165,11 +160,13 @@ def _setup(machine, graph: Em3dGraph, version: str,
                     elif owner == pe:
                         ref = vals + idx * VALUE_BYTES
                     else:
-                        slot = plan.ghost_slot[pe][(owner, idx)]
-                        ref = ghosts + slot * ghost_stride
-                    write_ref(j, ref)
-                    write_weight(j, weight)
-                    j += 1
+                        ref = ghosts + slots[(owner, idx)] * ghost_stride
+                    refs.append(ref)
+                    weights.append(weight)
+            mem.alloc_segment(base, nedges, "i8",
+                              entry_words * WORD_BYTES).fill(0, refs)
+            mem.alloc_segment(base + WORD_BYTES, nedges, "f8",
+                              entry_words * WORD_BYTES).fill(0, weights)
     return layout
 
 
@@ -181,36 +178,46 @@ USE_FAST_COMPUTE = True
 #: fill loops always go through the generic Split-C runtime calls.
 USE_FAST_FILL = True
 
+#: Edges per batched block of the compute phase: bounds the numpy
+#: temporaries to a few MB even at a million nodes per processor.
+_BLOCK_EDGES = 1 << 16
 
-def _compute_phase(sc, graph: Em3dGraph, layout: Layout, direction: str,
-                   optimized: bool, simple: bool):
-    """Recompute this processor's values for one direction."""
-    ctx = sc.ctx
-    n = graph.nodes_per_pe
-    adj_base = layout.e_adj if direction == "e" else layout.h_adj
-    out_base = layout.e_vals if direction == "e" else layout.h_vals
-    per_edge_overhead = (0.5 if optimized
-                         else ctx.node.alpha.loop_iteration() + 1.0)
-    memsys = ctx.node.memsys
-    lb = memsys.l1._line_bytes
-    nsets = memsys.l1._num_sets
-    if USE_FAST_COMPUTE and (memsys.l1._assoc == 1 and memsys.l2 is None
-                             and memsys.tlb._never_misses
-                             and lb & (lb - 1) == 0
-                             and nsets & (nsets - 1) == 0):
-        _compute_phase_local_fast(ctx, n, graph.degree, adj_base, out_base,
-                                  per_edge_overhead,
-                                  sc if simple else None)
-        return
-    cursor = adj_base
-    for i in range(n):
+
+def compute_rows(ctx, n: int, degree: int, adj_base: int, out_base: int,
+                 per_edge_overhead: float, simple_sc=None) -> None:
+    """Row ``i < n`` reads its ``degree`` (reference, weight) pairs from
+    the adjacency at ``adj_base`` (two words per edge), loads each
+    referenced value — through ``simple_sc.read`` for the "simple"
+    version, whose references are global pointers — and stores the
+    weighted sum at ``out_base + i * VALUE_BYTES``.
+
+    Blocks of rows run through :meth:`MemorySystem.plan_block`; a block
+    the plan declines runs the reference loop, as does every block
+    when ``USE_FAST_COMPUTE`` is False.
+    """
+    step = max(1, _BLOCK_EDGES // degree)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        if not (USE_FAST_COMPUTE and np is not None
+                and _planned_rows(ctx, r0, r1, degree, adj_base, out_base,
+                                  per_edge_overhead, simple_sc)):
+            _reference_rows(ctx, r0, r1, degree, adj_base, out_base,
+                            per_edge_overhead, simple_sc)
+
+
+def _reference_rows(ctx, r0, r1, degree, adj_base, out_base,
+                    per_edge_overhead, simple_sc):
+    """The compute loop, one simulated access at a time: the
+    executable spec the planned rows must match bit for bit."""
+    cursor = adj_base + r0 * degree * 2 * WORD_BYTES
+    for i in range(r0, r1):
         acc = 0.0
-        for _ in range(graph.degree):
+        for _ in range(degree):
             ref = ctx.local_read(cursor)
             weight = ctx.local_read(cursor + WORD_BYTES)
             cursor += 2 * WORD_BYTES
-            if simple:
-                value = sc.read(GlobalPtr.decode(ref))
+            if simple_sc is not None:
+                value = simple_sc.read(GlobalPtr.decode(ref))
             else:
                 value = ctx.local_read(ref)
             acc += weight * value
@@ -219,358 +226,93 @@ def _compute_phase(sc, graph: Em3dGraph, layout: Layout, direction: str,
         ctx.local_write(out_base + i * VALUE_BYTES, acc)
 
 
-def _compute_phase_local_fast(ctx, n: int, degree: int, adj_base: int,
-                              out_base: int, per_edge_overhead: float,
-                              simple_sc=None):
-    """The compute loop with the T3D read pipeline inlined.
+def _planned_rows(ctx, r0, r1, degree, adj_base, out_base,
+                  per_edge_overhead, simple_sc) -> bool:
+    """Rows ``r0 .. r1-1`` through the batched plan; False (nothing
+    done) when the plan or a gather declines.
 
-    Exactly equivalent to the reference loop above for a node with a
-    direct-mapped power-of-two L1, no L2, and a never-missing TLB: each
-    load makes the same L1 tag/DRAM state transitions and the same
-    clock additions in the same order; only the Python call chain is
-    flattened and the power-of-two address arithmetic uses shifts and
-    masks.  Value loads keep the write-buffer forwarding probe (they
-    can hit values stored earlier in the phase); adjacency loads skip
-    it because adjacency words are written only at setup, never
-    through the write buffer, so the probe could not match — and the
-    retired-entry flush it would perform is performed identically (same
-    entries, same retire timestamps, no intervening yield) by the next
-    value probe or store.  Cache/DRAM counters accumulate locally and
-    are committed at the end (stores inside the loop update the shared
-    DRAM state directly, so only the *deltas* are local).
-
-    With ``simple_sc`` set (the "simple" version), the neighbor value
-    is read through the Split-C blocking read; its local branch (the
-    common case) is flattened here too, remote references go through
-    the runtime.
+    The row walk adds each row's cycles and pushes its store; sums are
+    formed one column at a time, the reference loop's float order.  The
+    "simple" version walks edge by edge with the reference loop's clock
+    arithmetic, because its remote edges call the runtime's read
+    mid-row (uncached reads touch no local cache or DRAM state).
     """
     memsys = ctx.node.memsys
-    wb = memsys.write_buffer
-    l1 = memsys.l1
-    dram = memsys.dram
-    mem = memsys.memory
-    mem_get = mem.word_get
-    lb = l1._line_bytes
-    nsets = l1._num_sets
-    tags = l1._tags
-    tags_get = tags.get
-    hit_cycles = memsys.params.l1.hit_cycles
-    wb_pending = wb._pending         # flush_retired trims it in place
-    wb_flush = wb.flush_retired
-    wb_push = wb.push
-    issue_cycles = wb._issue_cycles
-    merging = wb._merging
-    capacity = wb._capacity
-    # Power-of-two geometry (asserted by the caller's gate): line and
-    # set arithmetic reduce to shifts and masks, exact for ints.
-    line_mask = -lb                      # addr & -lb == addr - addr % lb
-    lb_shift = lb.bit_length() - 1
-    set_mask = nsets - 1
-    interleave = dram._interleave
-    banks = dram._banks
-    dpage = dram._page_bytes
-    dcycles = dram._access_cycles
-    off_page = dram.params.off_page_cycles
-    same_bank = dram.params.same_bank_cycles
-    open_row = dram._open_row
-    # When the DRAM interleave equals the page size (the T3D shape),
-    # row = ((block // banks) * interleave + addr % interleave) // page
-    # collapses to block // banks exactly (the remainder term is
-    # < page and cannot carry).
-    geom_flat = (interleave == dpage
-                 and interleave & (interleave - 1) == 0
-                 and banks & (banks - 1) == 0)
-    il_shift = interleave.bit_length() - 1
-    bank_mask = banks - 1
-    bank_shift = banks.bit_length() - 1
-    mask = LOCAL_ADDR_MASK
+    rows = r1 - r0
+    nedges = rows * degree
+    adj = adj_base + (r0 * degree + np.arange(nedges)) * (2 * WORD_BYTES)
+    refs = memsys.gather(adj, "i8")
+    weights = memsys.gather(adj + WORD_BYTES, "f8")
+    if refs is None or weights is None:
+        return False
+    if simple_sc is None:
+        loads = np.stack((adj, adj + WORD_BYTES, refs), axis=1)
+        per_row = 3 * degree
+        values = memsys.gather(refs, "f8")
+    else:
+        local = (refs >> GPTR_PE_SHIFT) == ctx.pe
+        if simple_sc.plan.read_mechanism == "cached" and not local.all():
+            return False
+        loads = np.stack((adj, adj + WORD_BYTES, refs & GPTR_ADDR_MASK),
+                         axis=1)
+        keep = np.ones(loads.shape, dtype=bool)
+        keep[:, 2] = local
+        loads = loads[keep]
+        per_row = 2 * degree + local.reshape(rows, degree).sum(axis=1)
+        values = memsys.gather(refs[local] & GPTR_ADDR_MASK, "f8")
+    if values is None:
+        return False
+    stores = out_base + (r0 + np.arange(rows)) * VALUE_BYTES
     flop = ctx.node.alpha.flop_pair()
-    wbytes = WORD_BYTES
-    word_mask = -wbytes              # addr & -w == addr - addr % w
-    estep = 2 * wbytes
-    deg_range = range(degree)
-    l1_h = l1_m = 0
-    dram_n = dram_rm = dram_cf = 0
+    plan = memsys.plan_block(ctx.clock, loads.ravel(), stores, per_row,
+                             (flop, per_edge_overhead) * degree)
+    if plan is None:
+        return False
+    push = memsys.write_buffer.push_new
     clock = ctx.clock
-    cursor = adj_base
-    # Adjacency normally lives in two interleaved typed segments
-    # (int64 refs / float64 weights, stride 16); when it does, read
-    # the buffers directly instead of resolving each word.  Values are
-    # identical by the segment tier's equivalence contract — this only
-    # skips the per-word resolution (timing is charged above either
-    # way).  Any override/undefined word (never the case after
-    # ``_setup``) falls back to the generic accessor.
-    nedges = n * degree
-    _rseg = mem.segment_at(adj_base)
-    _wseg = mem.segment_at(adj_base + wbytes)
-    adj_direct = (
-        _rseg is not None and _wseg is not None
-        and _rseg.base == adj_base and _wseg.base == adj_base + wbytes
-        and _rseg.stride == estep and _wseg.stride == estep
-        and _rseg.nwords >= nedges and _wseg.nwords >= nedges
-        and not _rseg.overrides and not _wseg.overrides
-        and not _rseg.undefined and not _wseg.undefined)
-    rdata = _rseg.data if adj_direct else None
-    wdata = _wseg.data if adj_direct else None
-    j = 0
-    if simple_sc is not None:
-        # "simple" reads every value through the Split-C blocking read.
-        # The local case of that read (decode, local load, stats
-        # record) is inlined below when no span trace is attached;
-        # remote references still go through the runtime.
-        my_pe = ctx.pe
-        simple_fast = simple_sc.trace is None
-        record_stat = simple_sc.stats.record
-        stats_ops = simple_sc.stats.ops
-        local_rec = None
-        gaddr_mask = GPTR_ADDR_MASK
-    for i in range(n):
+    if simple_sc is None:
+        weights = weights.reshape(rows, degree)
+        values = values.reshape(rows, degree)
+        acc = np.zeros(rows)
+        for d in range(degree):
+            acc += weights[:, d] * values[:, d]
+        for addr, value, cycles, drain in zip(
+                stores.tolist(), acc.tolist(), plan.row_cycles.tolist(),
+                plan.drains.tolist()):
+            clock += cycles
+            clock += push(clock, addr, value, drain)
+        ctx.clock = clock
+        return True
+    cycles = iter(plan.load_cycles.tolist())
+    local_values = iter(values.tolist())
+    edges = iter(zip(refs.tolist(), weights.tolist(), local.tolist()))
+    record = simple_sc.stats.record
+    trace = simple_sc.trace
+    for addr, drain in zip(stores.tolist(), plan.drains.tolist()):
         acc = 0.0
-        for _ in deg_range:
-            # --- adjacency word 1: the neighbor reference.  Adjacency
-            # addresses are plain word-aligned heap offsets, so the
-            # ``& LOCAL_ADDR_MASK`` and word alignment of the generic
-            # path are identities and are dropped.
-            addr = cursor
-            line = addr & line_mask
-            index = (addr >> lb_shift) & set_mask
-            if tags_get(index) == line:
-                l1_h += 1
-                clock += hit_cycles
+        for _ in range(degree):
+            ref, weight, is_local = next(edges)
+            clock += next(cycles)
+            clock += next(cycles)
+            if is_local:
+                # runtime.read's local branch: the load, then its record.
+                before = clock
+                clock += next(cycles)
+                value = next(local_values)
+                record("read (local)", clock - before)
+                if trace is not None:
+                    trace.add("read (local)", before, clock)
             else:
-                l1_m += 1
-                tags[index] = line
-                if geom_flat:
-                    block = addr >> il_shift
-                    bank = block & bank_mask
-                    row = block >> bank_shift
-                else:
-                    block = addr // interleave
-                    bank = block % banks
-                    row = ((block // banks) * interleave
-                           + addr % interleave) // dpage
-                cyc = dcycles
-                dram_n += 1
-                if open_row[bank] != row:
-                    dram_rm += 1
-                    cyc += off_page
-                    if bank == dram._last_bank:
-                        dram_cf += 1
-                        cyc += same_bank
-                    open_row[bank] = row
-                dram._last_bank = bank
-                clock += cyc
-            ref = rdata[j] if adj_direct else mem_get(addr, 0)
-            # --- adjacency word 2: the weight.  When it shares word
-            # 1's line (the usual case) it is a guaranteed L1 hit:
-            # word 1 just filled or confirmed that line. ---
-            addr = cursor + wbytes
-            if (addr & line_mask) == line:
-                l1_h += 1
-                clock += hit_cycles
-            else:
-                line2 = addr & line_mask
-                index = (addr >> lb_shift) & set_mask
-                if tags_get(index) == line2:
-                    l1_h += 1
-                    clock += hit_cycles
-                else:
-                    l1_m += 1
-                    tags[index] = line2
-                    if geom_flat:
-                        block = addr >> il_shift
-                        bank = block & bank_mask
-                        row = block >> bank_shift
-                    else:
-                        block = addr // interleave
-                        bank = block % banks
-                        row = ((block // banks) * interleave
-                               + addr % interleave) // dpage
-                    cyc = dcycles
-                    dram_n += 1
-                    if open_row[bank] != row:
-                        dram_rm += 1
-                        cyc += off_page
-                        if bank == dram._last_bank:
-                            dram_cf += 1
-                            cyc += same_bank
-                        open_row[bank] = row
-                    dram._last_bank = bank
-                    clock += cyc
-            weight = wdata[j] if adj_direct else mem_get(addr, 0)
-            cursor += estep
-            j += 1
-            if simple_sc is not None:
-                if simple_fast and (ref >> GPTR_PE_SHIFT) == my_pe:
-                    # runtime.read's local branch, flattened: a local
-                    # load plus a "read (local)" stats record.
-                    addr = ref & gaddr_mask
-                    before = clock
-                    found = False
-                    if wb_pending:
-                        if wb_pending[0].retire_time <= clock:
-                            wb_flush(clock)
-                        w = addr & word_mask
-                        for entry in reversed(wb_pending):
-                            if w in entry.words:
-                                found = True
-                                fv = entry.words[w]
-                                break
-                    line = addr & line_mask
-                    index = (addr >> lb_shift) & set_mask
-                    if tags_get(index) == line:
-                        l1_h += 1
-                        clock += hit_cycles
-                    else:
-                        l1_m += 1
-                        tags[index] = line
-                        a = addr & mask
-                        if geom_flat:
-                            block = a >> il_shift
-                            bank = block & bank_mask
-                            row = block >> bank_shift
-                        else:
-                            block = a // interleave
-                            bank = block % banks
-                            row = ((block // banks) * interleave
-                                   + a % interleave) // dpage
-                        cyc = dcycles
-                        dram_n += 1
-                        if open_row[bank] != row:
-                            dram_rm += 1
-                            cyc += off_page
-                            if bank == dram._last_bank:
-                                dram_cf += 1
-                                cyc += same_bank
-                            open_row[bank] = row
-                        dram._last_bank = bank
-                        clock += cyc
-                    if found:
-                        value = fv
-                    else:
-                        a = addr & mask
-                        value = mem_get(a - (a % wbytes), 0)
-                    if local_rec is None:
-                        record_stat("read (local)", clock - before)
-                        local_rec = stats_ops["read (local)"]
-                    else:
-                        local_rec.count += 1
-                        local_rec.cycles += clock - before
-                else:
-                    ctx.clock = clock
-                    value = simple_sc.read_from(ref >> GPTR_PE_SHIFT,
-                                                ref & gaddr_mask)
-                    clock = ctx.clock
-            else:
-                addr = ref
-                found = False
-                if wb_pending:
-                    if wb_pending[0].retire_time <= clock:
-                        wb_flush(clock)
-                    w = addr & word_mask
-                    for entry in reversed(wb_pending):
-                        if w in entry.words:
-                            found = True
-                            fv = entry.words[w]
-                            break
-                line = addr & line_mask
-                index = (addr >> lb_shift) & set_mask
-                if tags_get(index) == line:
-                    l1_h += 1
-                    clock += hit_cycles
-                else:
-                    l1_m += 1
-                    tags[index] = line
-                    a = addr & mask
-                    if geom_flat:
-                        block = a >> il_shift
-                        bank = block & bank_mask
-                        row = block >> bank_shift
-                    else:
-                        block = a // interleave
-                        bank = block % banks
-                        row = ((block // banks) * interleave
-                               + a % interleave) // dpage
-                    cyc = dcycles
-                    dram_n += 1
-                    if open_row[bank] != row:
-                        dram_rm += 1
-                        cyc += off_page
-                        if bank == dram._last_bank:
-                            dram_cf += 1
-                            cyc += same_bank
-                        open_row[bank] = row
-                    dram._last_bank = bank
-                    clock += cyc
-                if found:
-                    value = fv
-                else:
-                    a = addr & mask
-                    value = mem_get(a - (a % wbytes), 0)
+                ctx.clock = clock
+                value = simple_sc.read_from(ref >> GPTR_PE_SHIFT,
+                                            ref & GPTR_ADDR_MASK)
+                clock = ctx.clock
             acc += weight * value
-            clock = clock + flop + per_edge_overhead
-        # memsys.write_cycles, destructured onto the local clock: the
-        # never-miss TLB charges nothing, then the same merge-scan /
-        # DRAM-drain / push sequence in the same order (the merging
-        # pre-scan runs *before* any flush, preserving the quirk that
-        # a match on an already-retired entry falls through push's
-        # re-scan into a zero-drain enqueue).
-        a = out_base + i * VALUE_BYTES
-        line = a & line_mask
-        matched = False
-        if merging:
-            for entry in wb_pending:
-                if entry.line_addr == line:
-                    matched = True
-                    break
-        if matched:
-            clock += wb_push(clock, a, acc, 0.0)
-        else:
-            la = line & mask
-            if geom_flat:
-                block = la >> il_shift
-                bank = block & bank_mask
-                row = block >> bank_shift
-            else:
-                block = la // interleave
-                bank = block % banks
-                row = ((block // banks) * interleave
-                       + la % interleave) // dpage
-            drain = dcycles
-            dram_n += 1
-            if open_row[bank] != row:
-                dram_rm += 1
-                drain += off_page
-                if bank == dram._last_bank:
-                    dram_cf += 1
-                    drain += same_bank
-                open_row[bank] = row
-            dram._last_bank = bank
-            # write_buffer.push_new, inlined.
-            if wb_pending and wb_pending[0].retire_time <= clock:
-                wb_flush(clock)
-            stall = 0.0
-            if len(wb_pending) >= capacity:
-                stall = wb_pending[0].retire_time - clock
-                if stall < 0.0:
-                    stall = 0.0
-                wb_flush(clock + stall)
-            start = clock + stall
-            retire = wb._last_retire
-            if start > retire:
-                retire = start
-            retire += drain / capacity
-            wb._last_retire = retire
-            wb_pending.append(PendingWrite(line, start, retire, {a: acc}))
-            if len(wb_pending) == 1 and wb.settle_queue is not None:
-                wb.settle_queue.append(wb)
-            clock += issue_cycles + stall
+            clock += flop
+            clock += per_edge_overhead
+        clock += push(clock, addr, acc, drain)
     ctx.clock = clock
-    l1.hits += l1_h
-    l1.misses += l1_m
-    dram.accesses += dram_n
-    dram.row_misses += dram_rm
-    dram.same_bank_conflicts += dram_cf
+    return True
 
 
 def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
@@ -750,9 +492,13 @@ def _half_step(sc, graph, layout, version: str, direction: str,
                                                       direction))
     else:
         raise ValueError(f"unknown EM3D version {version!r}")
-    _compute_phase(sc, graph, layout, direction,
-                   optimized=version in _OPTIMIZED_COMPUTE,
-                   simple=version == "simple")
+    ctx = sc.ctx
+    compute_rows(ctx, graph.nodes_per_pe, graph.degree,
+                 layout.e_adj if direction == "e" else layout.h_adj,
+                 layout.e_vals if direction == "e" else layout.h_vals,
+                 0.5 if version in _OPTIMIZED_COMPUTE
+                 else ctx.node.alpha.loop_iteration() + 1.0,
+                 sc if version == "simple" else None)
     if end_barrier:
         yield from sc.barrier()
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.apps.em3d.kernels import VALUE_BYTES, _compute_phase_local_fast
+from repro.apps.em3d.kernels import VALUE_BYTES, compute_rows
 from repro.params import CYCLE_NS, WORD_BYTES
 from repro.splitc.runtime import run_splitc
 
@@ -85,42 +85,30 @@ def _hash_unit(i: int, k: int) -> float:
 
 def _fill_values(seg, n: int, mult: int, off: int) -> None:
     """Initial field values: ``((i*mult + off) % 2**24)`` scaled."""
-    view = seg.np_view() if _np is not None else None
-    if view is not None:
+    if _np is not None:
         i = _np.arange(n, dtype=_np.int64)
-        view[:n] = ((i * mult + off) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0
+        seg.fill(0, ((i * mult + off) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0)
     else:
-        data = seg.data
-        for i in range(n):
-            data[i] = ((i * mult + off) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0
-    seg.define_range(0, n)
+        seg.fill(0, [((i * mult + off) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0
+                     for i in range(n)])
 
 
 def _fill_adjacency(refs, weights, n: int, degree: int,
                     vals_base: int) -> None:
     """Neighbor references and weights for one direction."""
-    nedges = n * degree
-    rview = refs.np_view() if _np is not None else None
-    if rview is not None:
-        edge = _np.arange(nedges, dtype=_np.int64)
+    if _np is not None:
+        edge = _np.arange(n * degree, dtype=_np.int64)
         i = edge // degree
         k = edge % degree
         idx = (i * _IDX_A + k * _IDX_B) % n
-        rview[:nedges] = vals_base + idx * VALUE_BYTES
+        refs.fill(0, vals_base + idx * VALUE_BYTES)
         w = (i * _HASH_A + k * _HASH_B) % _HASH_MOD
-        weights.np_view()[:nedges] = w / float(_HASH_MOD) * 2.0 - 1.0
+        weights.fill(0, w / float(_HASH_MOD) * 2.0 - 1.0)
     else:
-        rdata = refs.data
-        wdata = weights.data
-        j = 0
-        for i in range(n):
-            for k in range(degree):
-                idx = (i * _IDX_A + k * _IDX_B) % n
-                rdata[j] = vals_base + idx * VALUE_BYTES
-                wdata[j] = _hash_unit(i, k)
-                j += 1
-    refs.define_range(0, nedges)
-    weights.define_range(0, nedges)
+        pairs = [(i, k) for i in range(n) for k in range(degree)]
+        refs.fill(0, [vals_base + (i * _IDX_A + k * _IDX_B) % n * VALUE_BYTES
+                      for i, k in pairs])
+        weights.fill(0, [_hash_unit(i, k) for i, k in pairs])
 
 
 def _build_image(mem, layout: dict, n: int, degree: int) -> list:
@@ -176,29 +164,8 @@ def run_em3d_million(machine, nodes_per_pe: int, degree: int = 2,
             _build_image(mem, layout, n, degree)
 
     def half_step(ctx, direction: str) -> None:
-        adj_base = layout[direction + "_adj"]
-        out_base = layout[direction + "_vals"]
-        memsys = ctx.node.memsys
-        l1 = memsys.l1
-        lb = l1._line_bytes
-        nsets = l1._num_sets
-        if (l1._assoc == 1 and memsys.l2 is None
-                and memsys.tlb._never_misses
-                and lb & (lb - 1) == 0 and nsets & (nsets - 1) == 0):
-            _compute_phase_local_fast(ctx, n, degree, adj_base, out_base,
-                                      0.5)
-            return
-        flop = ctx.node.alpha.flop_pair()
-        cursor = adj_base
-        for i in range(n):
-            acc = 0.0
-            for _ in range(degree):
-                ref = ctx.local_read(cursor)
-                weight = ctx.local_read(cursor + WORD_BYTES)
-                cursor += 2 * WORD_BYTES
-                acc += weight * ctx.local_read(ref)
-                ctx.charge(flop + 0.5)
-            ctx.local_write(out_base + i * VALUE_BYTES, acc)
+        compute_rows(ctx, n, degree, layout[direction + "_adj"],
+                     layout[direction + "_vals"], 0.5)
 
     def program(sc):
         ctx = sc.ctx

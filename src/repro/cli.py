@@ -133,6 +133,13 @@ def _cmd_bench(args) -> int:
     import pstats
     import time
 
+    from repro.reporting.series import SERIES
+    names = ["headlines", "em3d", *sorted(SERIES)]
+    if args.experiment not in names:
+        print(f"repro bench: unknown experiment {args.experiment!r}; "
+              f"choose from {', '.join(names)}", file=sys.stderr)
+        return 2
+
     def runner():
         if args.experiment == "headlines":
             from repro.microbench.probes import measure_headlines

@@ -127,6 +127,29 @@ class Segment:
             return False
         return True
 
+    def fill(self, i: int, values) -> None:
+        """Store ``values`` at word indices ``i, i+1, ...``: one typed
+        slice store when the buffer holds every value exactly (a numpy
+        array of the segment's dtype, or values all of its exact Python
+        type), else the per-word :meth:`write` with its overrides."""
+        n = len(values)
+        if _np is not None and isinstance(values, _np.ndarray):
+            if self.vtype is not None and values.dtype == _KINDS[self.kind][2]:
+                self.np_view()[i:i + n] = values
+                self.define_range(i, n)
+                return
+            values = values.tolist()
+        if set(map(type, values)) <= {self.vtype}:
+            try:
+                self.data[i:i + n] = array(self.data.typecode, values)
+            except OverflowError:
+                pass
+            else:
+                self.define_range(i, n)
+                return
+        for k, value in enumerate(values):
+            self.write(i + k, value)
+
     def define_range(self, i: int, n: int) -> None:
         """Mark words ``i .. i+n-1`` written (after a slice store)."""
         if self.undefined:
@@ -335,20 +358,7 @@ class WordMemory:
             if hit is not None:
                 seg, i = hit
                 if seg.stride == WORD_BYTES and i + nwords <= seg.nwords:
-                    vtype = seg.vtype
-                    if vtype is not None and not any(
-                            type(v) is not vtype for v in values):
-                        try:
-                            seg.data[i:i + nwords] = array(
-                                seg.data.typecode, values)
-                        except OverflowError:
-                            pass
-                        else:
-                            seg.define_range(i, nwords)
-                            return
-                    write = seg.write
-                    for k, value in enumerate(values):
-                        write(i + k, value)
+                    seg.fill(i, values)
                     return
         store = self.store
         for k, value in enumerate(values):
@@ -380,6 +390,49 @@ class WordMemory:
             load(a)
             for a in range(addr, addr + nwords * stride_bytes, stride_bytes)
         ]
+
+    def gather(self, addrs, kind: str = "f8", overlay=None):
+        """Load the words containing each of ``addrs`` (an int64 numpy
+        array) as one numpy array of the ``kind`` dtype (``"f8"`` or
+        ``"i8"``), or None when some word's value is not exactly that
+        dtype's Python type (the caller then loads per word).
+
+        Element ``k`` equals ``load(addrs[k])`` in value (an unwritten
+        word reads 0), except that ``overlay`` — an optional
+        ``{k: value}`` dict, such as the memory system's pending
+        write-buffer words — replaces the values at its positions.
+        Words in override-free segments of ``kind`` are read with one
+        fancy index per segment; every other word goes through
+        :meth:`load`.  Requires numpy.
+        """
+        vtype, dtype = _KINDS[kind][1:]
+        words = addrs & -WORD_BYTES
+        out = _np.zeros(len(words), dtype=dtype)
+        todo = _np.ones(len(words), dtype=bool)
+        if overlay:
+            todo[list(overlay)] = False
+        if len(words):
+            lo, hi = int(words.min()), int(words.max())
+            for seg in self._segments:
+                if seg.kind != kind or seg.overrides or seg.base > hi \
+                        or seg.base + seg.limit < lo:
+                    continue
+                off = words - seg.base
+                hit = todo & (off >= 0) & (off <= seg.limit) \
+                    & (off % seg.stride == 0)
+                out[hit] = seg.np_view()[off[hit] // seg.stride]
+                todo &= ~hit
+        rest = [(k, self.load(int(words[k])))
+                for k in _np.flatnonzero(todo).tolist()]
+        for k, value in rest + list((overlay or {}).items()):
+            if type(value) is not vtype and not (type(value) is int
+                                                 and value == 0):
+                return None
+            try:
+                out[k] = value
+            except OverflowError:
+                return None
+        return out
 
     def move_range(self, dst_addr: int, src_mem: "WordMemory",
                    src_addr: int, nwords: int) -> bool:

@@ -15,6 +15,8 @@ programs call :meth:`read` / :meth:`write` which also move data.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.node.cache import Cache
 from repro.node.dram import Dram
 from repro.node.memory import WordMemory
@@ -22,13 +24,43 @@ from repro.node.tlb import Tlb
 from repro.node.write_buffer import WriteBuffer
 from repro.params import (
     LOCAL_ADDR_MASK,
+    WORD_BYTES,
     NodeParams,
     t3d_node_params,
     workstation_node_params,
 )
 from repro.trace import tracer as _trace
 
-__all__ = ["MemorySystem", "t3d_memory_system", "workstation_memory_system"]
+try:  # numpy is optional: without it plan_block always declines.
+    import numpy as _np
+    from repro.vector import kernels as _vk
+except ImportError:  # pragma: no cover - exercised via numpy-less images
+    _np = _vk = None
+
+__all__ = ["BlockPlan", "MemorySystem", "t3d_memory_system",
+           "workstation_memory_system"]
+
+#: plan_block's exactness envelope: cycle values on the 2**-8 grid and
+#: below 2**44 need at most 52 significant bits, so every float64 sum
+#: of them is exact and any grouping gives the scalar loop's bits.
+_GRID = 256.0
+_CEILING = float(1 << 44)
+
+
+def _on_grid(x: float) -> bool:
+    return (x * _GRID).is_integer() and abs(x) < _CEILING
+
+
+class BlockPlan(NamedTuple):
+    """Timing of one block of rows (:meth:`MemorySystem.plan_block`);
+    numpy float64 arrays."""
+
+    #: Cycles of each load, in program order.
+    load_cycles: object
+    #: Per row: its loads' cycles plus the caller's row charges.
+    row_cycles: object
+    #: Per store: the DRAM cost its write-buffer entry drains with.
+    drains: object
 
 
 class MemorySystem:
@@ -185,6 +217,155 @@ class MemorySystem:
         if _trace.TRACE_ENABLED:
             _trace.emit("mem_barrier", t=now, pe=self.owner_pe, done=done)
         return done
+
+    # ------------------------------------------------------------------
+    # Batched program access (exact equivalent of a read/write sequence).
+    # ------------------------------------------------------------------
+
+    def gather(self, addrs, kind: str = "f8"):
+        """The values :meth:`read` would return for each of ``addrs``
+        (an int64 numpy array) at this moment, as one numpy array of
+        the ``kind`` dtype, or None (see :meth:`WordMemory.gather`).
+
+        A pending write-buffer store to exactly a word forwards the
+        youngest such store's value; every other word reads memory at
+        its canonical address.  Nothing is flushed or timed.
+        """
+        pending = self.write_buffer._pending
+        overlay = None
+        if pending:
+            forward = {}
+            for entry in pending:          # oldest first: youngest wins
+                forward.update(entry.words)
+            words = addrs & -WORD_BYTES
+            hit = _np.flatnonzero(_np.isin(words, list(forward)))
+            overlay = {k: forward[w]
+                       for k, w in zip(hit.tolist(), words[hit].tolist())}
+        return self.memory.gather(addrs & LOCAL_ADDR_MASK, kind, overlay)
+
+    def plan_block(self, now: float, load_addrs, store_addrs,
+                   loads_per_store, row_charges=()) -> BlockPlan | None:
+        """Time a block of rows in one batch, or decline.
+
+        Row ``r`` is ``loads_per_store`` loads (an int, or one count
+        per row), then one store to ``store_addrs[r]``, issued from
+        ``now`` on.  Exactly equivalent to :meth:`read` per load and
+        :meth:`write_cycles` per store: the plan commits the L1 tags,
+        DRAM open rows, last bank and unit counters that sequence
+        leaves, and returns each load's cycles, each row's cycle sum
+        plus ``row_charges``, and each store's drain cost.  The caller
+        then issues the stores in order with
+        ``write_buffer.push_new(clock, addr, value, drain)`` (a store's
+        stall depends on the clock) and takes load values from
+        :meth:`gather` beforehand.
+
+        Returns None, leaving every unit untouched, outside the envelope
+        where that is exact: numpy, no tracing, a direct-mapped L1, no
+        L2, a never-missing TLB, a power-of-two buffer depth, no store
+        that could merge, no loaded word stored in the block, no pending
+        synonym of a loaded word, only plain local pending entries, and
+        every cycle value on the exactness grid (``docs/timing_model.md``
+        gives the argument).
+        """
+        wb = self.write_buffer
+        cap = wb._capacity
+        if (_vk is None or _trace.TRACE_ENABLED or self.l2 is not None
+                or self.l1._assoc != 1 or not self.tlb._never_misses
+                or cap & (cap - 1)):
+            return None
+        pending = wb._pending
+        if any(e.on_retire is not None or not e.apply_words
+               for e in pending):
+            return None
+        mask = LOCAL_ADDR_MASK
+        loads = _np.asarray(load_addrs, dtype=_np.int64)
+        stores = _np.asarray(store_addrs, dtype=_np.int64)
+        nloads, nrows = len(loads), len(stores)
+        counts = (_np.full(nrows, loads_per_store, dtype=_np.int64)
+                  if _np.ndim(loads_per_store) == 0
+                  else _np.asarray(loads_per_store, dtype=_np.int64))
+        ends = _np.cumsum(counts)
+        if (int(ends[-1]) if nrows else 0) != nloads:
+            raise ValueError("loads_per_store does not match the loads")
+        lines = stores - stores % wb.line_bytes
+        ordered = _np.sort(lines)
+        if (ordered[1:] == ordered[:-1]).any() or not {
+                e.line_addr for e in pending}.isdisjoint(lines.tolist()):
+            return None
+        load_words = loads & -WORD_BYTES
+        canon = load_words & mask
+        stored = _np.sort(stores & (mask & -WORD_BYTES))
+        if nrows and (stored[_np.searchsorted(stored, canon) % nrows]
+                      == canon).any():
+            return None
+        pending_words = {w for e in pending for w in e.words}
+        if pending_words:
+            # Each location a load shares with a pending store must be
+            # spelled by one full address only: no synonyms.
+            hit = _np.isin(canon, [w & mask for w in pending_words])
+            full = set(load_words[hit].tolist())
+            shared = {w & mask for w in full}
+            full.update(w for w in pending_words if w & mask in shared)
+            if len(full) != len(shared):
+                return None
+        dp = self.dram.params
+        hit_cycles = self.params.l1.hit_cycles
+        drain_kinds = (dp.access_cycles,
+                       dp.access_cycles + dp.off_page_cycles,
+                       dp.access_cycles + dp.off_page_cycles
+                       + dp.same_bank_cycles)
+        times = [now, wb._last_retire] + [e.retire_time for e in pending]
+        if not all(_on_grid(x) for x in (
+                *times, hit_cycles, wb._issue_cycles, *row_charges,
+                *drain_kinds, *(d / cap for d in drain_kinds))):
+            return None
+
+        l1 = self.l1
+        lb = l1._line_bytes
+        tags = l1._tags
+        resident = _np.full(l1._num_sets, -1, dtype=_np.int64)
+        resident[_np.fromiter(tags, _np.int64, len(tags))] = _np.fromiter(
+            tags.values(), _np.int64, len(tags)) // lb
+        before = resident.copy()
+        hits = _vk.direct_mapped_hit_mask(loads, lb, l1._num_sets, resident)
+        # The DRAM sees, in program order, each row's L1-missing loads
+        # then its store's line.
+        load_pos = _np.arange(nloads) + _np.repeat(_np.arange(nrows), counts)
+        store_pos = ends + _np.arange(nrows)
+        seq = _np.empty(nloads + nrows, dtype=_np.int64)
+        seq[load_pos] = loads & mask
+        seq[store_pos] = lines & mask
+        to_dram = _np.ones(nloads + nrows, dtype=bool)
+        to_dram[load_pos[hits]] = False
+        open_rows = _np.array(self.dram._open_row, dtype=_np.int64)
+        bank, miss, conflict = _vk.dram_row_events(
+            seq[to_dram], interleave=dp.bank_interleave_bytes,
+            banks=dp.banks, page_bytes=dp.page_bytes, open_rows=open_rows,
+            last_bank=self.dram._last_bank)
+        cost = _np.zeros(nloads + nrows)
+        cost[to_dram] = (dp.access_cycles + miss * dp.off_page_cycles
+                         + conflict * dp.same_bank_cycles)
+        load_cycles = _np.where(hits, hit_cycles, cost[load_pos])
+        drains = cost[store_pos]
+        csum = _np.concatenate(([0.0], _np.cumsum(load_cycles)))
+        row_cycles = csum[ends] - csum[ends - counts] + sum(row_charges)
+        if not (max(times) + row_cycles.sum() + nrows * wb._issue_cycles
+                + drains.sum() / cap) < _CEILING:
+            return None
+
+        changed = _np.flatnonzero(resident != before)
+        tags.update(zip(changed.tolist(), (resident[changed] * lb).tolist()))
+        nhits = int(hits.sum())
+        l1.hits += nhits
+        l1.misses += nloads - nhits
+        dram = self.dram
+        dram._open_row[:] = open_rows.tolist()
+        if len(bank):
+            dram._last_bank = int(bank[-1])
+        dram.accesses += len(bank)
+        dram.row_misses += int(miss.sum())
+        dram.same_bank_conflicts += int(conflict.sum())
+        return BlockPlan(load_cycles, row_cycles, drains)
 
     # ------------------------------------------------------------------
     # Probe fast paths (exact batched equivalents of per-access loops).

@@ -104,8 +104,8 @@ class WriteBuffer:
         """Counter-registry hook: this unit's lifetime totals.
 
         Only counters every code path maintains are reported: the
-        inlined EM3D store path of PR 1 appends entries directly, so a
-        per-push counter here would undercount it.
+        batched bulk and ``put_scatter`` store paths append entries
+        directly, so a per-push counter here would undercount them.
         """
         return {"merged_writes": self.merged_writes,
                 "drained_entries": self.drained_entries,

@@ -77,7 +77,8 @@ class UnsupportedStimulus(Exception):
 #:   state, so a state-skipping kernel is wrong by definition.
 #: * ``em3d`` — the compute phase reads values written earlier in the
 #:   same phase (write-buffer forwarding), so the stream is
-#:   data-dependent.
+#:   data-dependent; the app batches it through
+#:   ``MemorySystem.plan_block`` instead.
 CLAIMED_FAMILIES = {
     "local_read": True,
     "local_write": True,

@@ -7,16 +7,21 @@ time:
 ==============================  =====================================
 :func:`direct_mapped_hit_mask`  :meth:`repro.node.cache.Cache.access_fill`
                                 (direct-mapped)
-:func:`dram_cost_stream`        :meth:`repro.node.dram.Dram.access_with`
+:func:`dram_cost_stream`,       :meth:`repro.node.dram.Dram.access_with`
+:func:`dram_row_events`
 :func:`tlb_cost_stream`         :meth:`repro.node.tlb.Tlb.translate`
                                 (fully-associative LRU)
 ==============================  =====================================
 
 The correspondence is lock-step, not approximate — the unit tests in
 ``tests/vector/test_kernels.py`` replay random streams through both
-spellings and require identical outputs.  All kernels assume a
-**cold-started** unit (the probe harness's ``reset_fn`` guarantees it)
-and a stream of non-negative integer addresses.
+spellings and require identical outputs.  Every kernel takes a stream
+of non-negative integer addresses and by default assumes a
+**cold-started** unit (the probe harness's ``reset_fn`` guarantees it);
+:func:`direct_mapped_hit_mask` and :func:`dram_row_events` also accept
+a warm starting state, which they update in place to the state after
+the stream (:meth:`repro.node.memsys.MemorySystem.plan_block` runs
+them that way).
 
 Why the results are bit-identical, not just numerically close: every
 per-access cost in the calibrated model is a small dyadic rational
@@ -37,6 +42,7 @@ from repro.vector import UnsupportedStimulus
 __all__ = [
     "direct_mapped_hit_mask",
     "dram_cost_stream",
+    "dram_row_events",
     "sawtooth_addresses",
     "tlb_cost_stream",
     "validate_point",
@@ -76,70 +82,103 @@ def sawtooth_addresses(base: int, stride: int, count: int,
     return np.tile(one_pass, npasses)
 
 
+def _repeats(keys: np.ndarray, tags: np.ndarray, num_keys: int,
+             state=None) -> np.ndarray:
+    """Whether each element's tag equals the tag of the previous element
+    with the same key: a stable argsort groups the stream by key while
+    preserving program order inside each group, turning the question
+    into one shifted compare.
+
+    A key's first element compares against ``state[key]`` when
+    ``state`` (an int64 array indexed by key) is given, and never
+    matches when it is not; ``state`` is then updated in place to each
+    key's last tag.
+    """
+    if num_keys <= 1 << 16:
+        keys = keys.astype(np.uint16)   # numpy radix-sorts 16-bit keys
+    order = np.argsort(keys, kind="stable")
+    keys_sorted = keys[order]
+    tags_sorted = tags[order]
+    n = len(keys)
+    same_sorted = np.empty(n, dtype=bool)
+    if n:
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        first[1:] = keys_sorted[1:] != keys_sorted[:-1]
+        same_sorted[1:] = tags_sorted[1:] == tags_sorted[:-1]
+        if state is None:
+            same_sorted[first] = False
+        else:
+            same_sorted[first] = (tags_sorted[first]
+                                  == state[keys_sorted[first]])
+            last = np.empty(n, dtype=bool)
+            last[:-1] = first[1:]
+            last[-1] = True
+            state[keys_sorted[last]] = tags_sorted[last]
+    same = np.empty(n, dtype=bool)
+    same[order] = same_sorted
+    return same
+
+
 def direct_mapped_hit_mask(addrs: np.ndarray, line_bytes: int,
-                           num_sets: int) -> np.ndarray:
-    """Hit/miss of each access against a cold direct-mapped cache.
+                           num_sets: int, resident=None) -> np.ndarray:
+    """Hit/miss of each access against a direct-mapped cache.
 
     Twin of :meth:`Cache.access_fill` with ``associativity == 1``: the
     resident line of a set is always the line of the most recent prior
     access mapping to that set (a hit leaves it, a miss overwrites it),
     so access *i* hits iff the previous access to its set touched the
-    same line.  A stable argsort groups the stream by set while
-    preserving program order inside each group, turning the per-set
-    "same line as my predecessor?" question into one shifted compare.
+    same line (:func:`_repeats`).
+
+    The cache starts cold unless ``resident`` is given: an int64 array
+    of each set's resident line *number* (``-1`` for an empty set),
+    updated in place to the resident lines after the stream.
     """
     lines = addrs // line_bytes         # line *number*; equal iff the
-    sets = lines % num_sets             # line address addr - addr%lb is
-    order = np.argsort(sets, kind="stable")     # equal, for ints >= 0
-    sets_sorted = sets[order]
-    lines_sorted = lines[order]
-    hits_sorted = np.empty(len(addrs), dtype=bool)
-    if len(addrs):
-        hits_sorted[0] = False
-        hits_sorted[1:] = ((sets_sorted[1:] == sets_sorted[:-1])
-                           & (lines_sorted[1:] == lines_sorted[:-1]))
-    hits = np.empty(len(addrs), dtype=bool)
-    hits[order] = hits_sorted
-    return hits
+    return _repeats(lines % num_sets,   # line address addr - addr%lb is
+                    lines, num_sets, resident)  # equal, for ints >= 0
+
+
+def dram_row_events(addrs: np.ndarray, *, interleave: int, banks: int,
+                    page_bytes: int, open_rows=None, last_bank: int = -1):
+    """Bank, row miss and same-bank conflict of each access to a
+    page-mode DRAM, as ``(bank, miss, conflict)`` arrays.
+
+    Twin of the state walk in :meth:`Dram.access_with`: after any
+    access to a bank that bank's open row equals that access's row (a
+    hit means it already did; a miss installs it), so an access
+    row-misses iff its row differs from the previous access *to the
+    same bank* (:func:`_repeats`).  The same-bank conflict additionally
+    requires the immediately preceding access (``last_bank`` for the
+    first) to have used this bank.
+
+    The DRAM starts cold (every row closed, no last bank) unless
+    ``open_rows`` is given: an int64 array of each bank's open row
+    (``-1`` for none; rows are >= 0, so it always misses), updated in
+    place to the open rows after the stream.
+    """
+    n = len(addrs)
+    block = addrs // interleave
+    bank = block % banks
+    row = ((block // banks) * interleave + addrs % interleave) // page_bytes
+    miss = ~_repeats(bank, row, banks, open_rows)
+    conflict = np.zeros(n, dtype=bool)
+    if n:
+        conflict[0] = miss[0] and bank[0] == last_bank
+        conflict[1:] = miss[1:] & (bank[1:] == bank[:-1])
+    return bank, miss, conflict
 
 
 def dram_cost_stream(addrs: np.ndarray, *, interleave: int, banks: int,
                      page_bytes: int, access_cycles: float,
                      off_page_cycles: float,
                      same_bank_cycles: float) -> np.ndarray:
-    """Per-access cost of a stream through a cold page-mode DRAM.
-
-    Twin of :meth:`Dram.access_with` from reset state (all open rows
-    ``-1``, no last bank): after any access to a bank that bank's open
-    row equals that access's row (a hit means it already did; a miss
-    installs it), so an access row-misses iff it is its bank's first
-    access or its row differs from the previous access *to the same
-    bank* — one shifted compare per bank.  The same-bank conflict
-    additionally requires the immediately preceding access (across all
-    banks) to have used this bank.
-
-    The bank count is tiny (2-8 for every modeled machine), so the
-    per-bank grouping is a handful of O(n) masked selects rather than a
-    sort.
-    """
-    n = len(addrs)
-    block = addrs // interleave
-    bank = block % banks
-    row = ((block // banks) * interleave + addrs % interleave) // page_bytes
-    miss = np.empty(n, dtype=bool)
-    for b in range(banks):
-        idx = np.flatnonzero(bank == b)
-        if not len(idx):
-            continue
-        rows_b = row[idx]
-        miss_b = np.empty(len(idx), dtype=bool)
-        miss_b[0] = True                # open row starts at -1
-        miss_b[1:] = rows_b[1:] != rows_b[:-1]
-        miss[idx] = miss_b
-    conflict = np.zeros(n, dtype=bool)
-    if n:
-        conflict[1:] = miss[1:] & (bank[1:] == bank[:-1])
-    costs = np.full(n, access_cycles, dtype=np.float64)
+    """Per-access cost of a stream through a cold page-mode DRAM: twin
+    of :meth:`Dram.access_with` from reset state, by
+    :func:`dram_row_events`."""
+    _bank, miss, conflict = dram_row_events(
+        addrs, interleave=interleave, banks=banks, page_bytes=page_bytes)
+    costs = np.full(len(addrs), access_cycles, dtype=np.float64)
     costs[miss] += off_page_cycles
     costs[conflict] += same_bank_cycles
     return costs

@@ -56,6 +56,13 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
+def test_bench_unknown_experiment_lists_names(capsys):
+    assert main(["bench", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown experiment 'nosuch'" in err
+    assert "headlines" in err and "em3d" in err and "fig9" in err
+
+
 def test_experiments_json_output(tmp_path):
     import json
     target = tmp_path / "record.json"

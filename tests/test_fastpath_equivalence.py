@@ -7,8 +7,8 @@ hatch back to the reference per-access implementation:
   per-access loop and disable the point memo;
 * ``repro.splitc.bulk.USE_BATCHED_BULK`` — inlined bulk word loops;
 * ``repro.shell.blt.USE_BATCHED_COPY`` — range-op BLT data movement;
-* ``repro.apps.em3d.kernels.USE_FAST_COMPUTE`` — the inlined EM3D
-  compute phase.
+* ``repro.apps.em3d.kernels.USE_FAST_COMPUTE`` — the batched EM3D
+  compute phase (``MemorySystem.plan_block``).
 
 These tests run the same experiment down both paths and assert the
 results are *identical* — same floats, same counters, same memory

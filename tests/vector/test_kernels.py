@@ -24,6 +24,7 @@ from repro.vector import UnsupportedStimulus
 from repro.vector.kernels import (
     direct_mapped_hit_mask,
     dram_cost_stream,
+    dram_row_events,
     sawtooth_addresses,
     tlb_cost_stream,
     validate_point,
@@ -94,6 +95,52 @@ def test_dram_cost_stream_matches_dram_with_remote_penalties(stream):
         page_bytes=params.page_bytes, access_cycles=params.access_cycles,
         off_page_cycles=15.0, same_bank_cycles=9.0)
     assert got.tolist() == expected
+
+
+def _lines_by_set(cache, params):
+    lines = np.full(params.num_sets, -1, dtype=np.int64)
+    for index, line in cache._tags.items():
+        lines[index] = line // params.line_bytes
+    return lines
+
+
+def test_direct_mapped_hit_mask_warm_start_matches_cache(stream):
+    params = CacheParams(size_bytes=8 * KB)
+    cache = Cache(params)
+    for addr in _random_stream(random.Random(7), 300, 64 * KB):
+        cache.access_fill(addr)
+    resident = _lines_by_set(cache, params)
+    expected = [cache.access_fill(addr) for addr in stream]
+    got = direct_mapped_hit_mask(np.asarray(stream, dtype=np.int64),
+                                 params.line_bytes, params.num_sets,
+                                 resident)
+    assert got.tolist() == expected
+    assert resident.tolist() == _lines_by_set(cache, params).tolist()
+
+
+@pytest.mark.parametrize("last_bank", [None, -1, 0, 2])
+def test_dram_row_events_warm_start_matches_dram(stream, last_bank):
+    params = DramParams()
+    dram = Dram(params)
+    for addr in _random_stream(random.Random(11), 50, 256 * KB):
+        dram.access(addr)
+    if last_bank is not None:
+        dram._last_bank = last_bank
+    open_rows = np.array(dram._open_row, dtype=np.int64)
+    geometry = dict(interleave=params.bank_interleave_bytes,
+                    banks=params.banks, page_bytes=params.page_bytes)
+    bank, miss, conflict = dram_row_events(
+        np.asarray(stream, dtype=np.int64), **geometry,
+        open_rows=open_rows, last_bank=dram._last_bank)
+    expected = []
+    for addr in stream:
+        before = (dram.row_misses, dram.same_bank_conflicts)
+        dram.access(addr)
+        expected.append((dram._last_bank, dram.row_misses > before[0],
+                         dram.same_bank_conflicts > before[1]))
+    assert list(zip(bank.tolist(), miss.tolist(),
+                    conflict.tolist())) == expected
+    assert open_rows.tolist() == dram._open_row
 
 
 # The three TLB regimes of the analytic kernel: working set below,
