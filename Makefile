@@ -7,7 +7,11 @@ PYTHON ?= python3
 # benchmarks/conftest.py folds into .bench_meta.json.
 REPRO_JOBS ?= 1
 MEM ?=
-BASE ?= BENCH_PR5.json
+# The warm-cache snapshot `make bench` writes and `make bench-compare`
+# judges, and the committed snapshot to compare it against (no
+# default: name one, e.g. BASE=BENCH_PR8.json).
+SNAPSHOT ?= BENCH_PR10.json
+BASE ?=
 
 .PHONY: test bench bench-scaling bench-compare bench-quick bench-cold \
 	bench-cold-compare calibrate calibrate-check docs-check experiments \
@@ -16,21 +20,20 @@ BASE ?= BENCH_PR5.json
 test:
 	$(PYTHON) -m pytest tests/
 
-# Snapshot to a fresh file per PR so the perf trajectory accumulates
-# (BENCH_PR1.json stays as the fast-path baseline to diff against).
-# The summary comparison against $(BASE) is warn-only here because a
-# warm-cache or parallel run is a different measurement than the
-# committed serial baseline; `make bench-compare` is the strict gate.
+# Snapshot to $(SNAPSHOT); with BASE given, a summary comparison
+# against it follows.  It is warn-only here because a warm-cache or
+# parallel run is a different measurement than the committed serial
+# baseline; `make bench-compare` is the strict gate.
 bench:
 	REPRO_JOBS=$(REPRO_JOBS) REPRO_BENCH_MEM=$(MEM) PYTHONPATH=src \
 		$(PYTHON) -m pytest \
 		benchmarks/ --benchmark-only --benchmark-disable-gc \
 		--benchmark-json=.bench_raw.json
 	PYTHONPATH=src $(PYTHON) tools/bench_snapshot.py .bench_raw.json \
-		BENCH_PR10.json --meta .bench_meta.json \
+		$(SNAPSHOT) --meta .bench_meta.json \
 		--scaling .scaling_curve.json --million .million_point.json
-	PYTHONPATH=src $(PYTHON) tools/bench_compare.py $(BASE) \
-		BENCH_PR10.json --warn-only
+	$(if $(BASE),PYTHONPATH=src $(PYTHON) tools/bench_compare.py \
+		$(BASE) $(SNAPSHOT) --warn-only)
 
 # Full weak-scaling sweep: REPRO_SCALING_FULL=1 adds the 1024-PE EM3D
 # point and grows the capacity benchmark to 1M nodes/PE before the
@@ -45,8 +48,10 @@ bench-scaling:
 # (wall-clock means and weak-scaling us/edge points), plus a
 # bit-identity cross-check of the compute tiers (--tiers).
 bench-compare:
+	@test -n "$(BASE)" || { \
+		echo "usage: make bench-compare BASE=<committed snapshot>"; exit 2; }
 	PYTHONPATH=src $(PYTHON) tools/bench_compare.py $(BASE) \
-		BENCH_PR10.json --tiers
+		$(SNAPSHOT) --tiers
 
 # The cold benchmark that performance claims cite (bench/README.md):
 # every workload in fresh single-threaded children, results in
@@ -56,7 +61,7 @@ bench-cold:
 	PYTHONPATH=src $(PYTHON) -m bench run
 
 bench-cold-compare:
-	@case "$(BASE)" in BENCH_PR*) \
+	@case "$(BASE)" in ""|BENCH_PR*) \
 		echo "usage: make bench-cold-compare BASE='<parent bench/out/*.json>'"; \
 		exit 2;; esac
 	PYTHONPATH=src $(PYTHON) -m bench compare $(BASE) -- bench/out/*.json

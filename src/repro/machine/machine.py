@@ -31,11 +31,13 @@ class Machine:
             for pe in range(self.torus.num_nodes)
         ]
         # Registry of write buffers holding pending entries: a buffer
-        # appends itself on its empty->nonempty transition, so
-        # ``settle`` visits only buffers with scheduled work instead of
-        # sweeping all N nodes (per-waiter settles made that O(N^2)
-        # per barrier epoch).
-        self._dirty_buffers: list = []
+        # registers itself on its empty->nonempty transition
+        # (``WriteBuffer.mark_dirty``), so ``settle`` visits only
+        # buffers with scheduled work instead of sweeping all N nodes
+        # (per-waiter settles made that O(N^2) per barrier epoch).  An
+        # insertion-ordered dict: re-registering moves a buffer to the
+        # end, so the registry stays one entry per buffer.
+        self._dirty_buffers: dict = {}
         for node in self.nodes:
             node.memsys.write_buffer.settle_queue = self._dirty_buffers
 
@@ -126,7 +128,7 @@ class Machine:
         """
         dirty = self._dirty_buffers
         while dirty:
-            dirty.pop().flush_retired(float("inf"))
+            dirty.popitem()[0].flush_retired(float("inf"))
 
     # ------------------------------------------------------------------
     # Execution

@@ -15,8 +15,15 @@ The stride probes of Figure 1 recover exactly these parameters:
 
 from __future__ import annotations
 
+from repro.node.exact import on_grid
 from repro.params import DramParams
 from repro.trace import tracer as _trace
+
+try:  # numpy is optional: without it plan_access always declines.
+    import numpy as _np
+    from repro.vector import kernels as _vk
+except ImportError:  # pragma: no cover - exercised via numpy-less images
+    _np = _vk = None
 
 __all__ = ["Dram"]
 
@@ -118,6 +125,47 @@ class Dram:
             self._open_row[bank] = row
         self._last_bank = bank
         return cycles
+
+    def plan_access(self, addrs, off_page_cycles: float,
+                    same_bank_cycles: float):
+        """:meth:`access_with` over ``addrs`` (an int64 numpy array or a
+        ``range``), batched: returns ``(costs, commit)``, or None when
+        numpy is missing or a cost could leave the exactness grid.
+
+        ``costs`` holds each access's cycles; nothing changes until
+        ``commit()`` installs the open rows, last bank and counters the
+        per-access loop leaves (:func:`repro.vector.kernels.dram_row_events`,
+        run a piece at a time from the current state).
+        """
+        if _vk is None or not all(on_grid(x) for x in (
+                self._access_cycles, off_page_cycles, same_bank_cycles)):
+            return None
+        open_rows = _np.array(self._open_row, dtype=_np.int64)
+        last_bank = self._last_bank
+        costs = _np.empty(len(addrs))
+        misses = conflicts = 0
+        for start, piece in _vk.chunks(addrs):
+            bank, miss, conflict = _vk.dram_row_events(
+                piece, interleave=self._interleave, banks=self._banks,
+                page_bytes=self._page_bytes, open_rows=open_rows,
+                last_bank=last_bank)
+            costs[start:start + len(piece)] = (
+                self._access_cycles + miss * off_page_cycles
+                + conflict * same_bank_cycles)
+            last_bank = int(bank[-1])
+            misses += int(miss.sum())
+            conflicts += int(conflict.sum())
+        rows = open_rows.tolist()
+        naccesses = len(costs)
+
+        def commit():
+            self._open_row[:] = rows
+            self._last_bank = last_bank
+            self.accesses += naccesses
+            self.row_misses += misses
+            self.same_bank_conflicts += conflicts
+
+        return costs, commit
 
     def peek_access_cycles(self, addr: int) -> float:
         """Latency the next access to ``addr`` would cost, without

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import repeat
 from math import gcd
 
 from repro.params import WORD_BYTES
@@ -45,7 +46,7 @@ try:  # numpy is optional: it only accelerates bulk views.
 except ImportError:  # pragma: no cover - exercised via REPRO-less images
     _np = None
 
-__all__ = ["Segment", "WordMemory"]
+__all__ = ["Segment", "WordMemory", "WordRun"]
 
 #: Segment kinds: array.array typecode, the exact Python type the
 #: typed buffer round-trips, and the numpy dtype name for views.
@@ -169,6 +170,35 @@ class Segment:
         if _np is None or self.vtype is None:
             return None
         return _np.frombuffer(self.data, dtype=_KINDS[self.kind][2])
+
+
+class WordRun:
+    """The words at ``addr + 8 * i`` (``i < nwords``) of a memory as a
+    sequence that loads a slice at a time, so a long store stream never
+    holds all its values at once.  ``overrides`` (``{i: value}``)
+    replace the loaded values at their indices.  Valid while nothing
+    changes those words other than to the overriding values."""
+
+    __slots__ = ("memory", "addr", "nwords", "overrides")
+
+    def __init__(self, memory: "WordMemory", addr: int, nwords: int,
+                 overrides: dict | None = None):
+        self.memory = memory
+        self.addr = addr
+        self.nwords = nwords
+        self.overrides = overrides or {}
+
+    def __len__(self) -> int:
+        return self.nwords
+
+    def __getitem__(self, index: slice) -> list:
+        start, stop, _step = index.indices(self.nwords)
+        values = self.memory.load_range(self.addr + start * WORD_BYTES,
+                                        max(0, stop - start))
+        for i, value in self.overrides.items():
+            if start <= i < stop:
+                values[i - start] = value
+        return values
 
 
 class WordMemory:
@@ -332,9 +362,19 @@ class WordMemory:
     # Range access
     # ------------------------------------------------------------------
 
+    def _unsegmented(self, base: int, nwords: int) -> bool:
+        """Whether no segment can own a word of the ``nwords``-word run
+        at word-aligned ``base`` (the run lives in the sparse dict)."""
+        return (not self._segments or base > self._seg_hi
+                or base + (nwords - 1) * WORD_BYTES < self._seg_lo)
+
     def load_range(self, addr: int, nwords: int) -> list:
         """Load ``nwords`` consecutive words starting at ``addr``."""
         base = addr - (addr % WORD_BYTES)
+        if self._unsegmented(base, nwords):
+            return list(map(self._words.get,
+                            range(base, base + nwords * WORD_BYTES,
+                                  WORD_BYTES), repeat(0, nwords)))
         if self._seg_lo <= base <= self._seg_hi:
             hit = self._find(base)
             if hit is not None:
@@ -353,6 +393,10 @@ class WordMemory:
         if not isinstance(values, (list, tuple)):
             values = list(values)
         nwords = len(values)
+        if nwords and self._unsegmented(base, nwords):
+            self._words.update(zip(range(base, base + nwords * WORD_BYTES,
+                                         WORD_BYTES), values))
+            return
         if nwords and self._seg_lo <= base <= self._seg_hi:
             hit = self._find(base)
             if hit is not None:
@@ -363,6 +407,23 @@ class WordMemory:
         store = self.store
         for k, value in enumerate(values):
             store(base + k * WORD_BYTES, value)
+
+    def store_words(self, words: dict) -> None:
+        """Store every ``word_addr: value`` of ``words`` (word-aligned
+        keys), leaving memory as :meth:`store` in the dict's order
+        would: one dict update off the segments, one
+        :meth:`store_range` for a contiguous run."""
+        lo, hi = min(words), max(words)
+        nwords = len(words)
+        if self._unsegmented(lo, (hi - lo) // WORD_BYTES + 1):
+            self._words.update(words)
+        elif hi - lo == (nwords - 1) * WORD_BYTES:
+            self.store_range(lo, list(map(
+                words.__getitem__, range(lo, hi + WORD_BYTES, WORD_BYTES))))
+        else:
+            store = self.store
+            for w, value in words.items():
+                store(w, value)
 
     def load_stride(self, addr: int, stride_bytes: int, nwords: int) -> list:
         """Load ``nwords`` words at ``addr, addr + stride, ...``.

@@ -19,7 +19,8 @@ from typing import NamedTuple
 
 from repro.node.cache import Cache
 from repro.node.dram import Dram
-from repro.node.memory import WordMemory
+from repro.node.exact import CEILING, on_grid
+from repro.node.memory import WordMemory, WordRun
 from repro.node.tlb import Tlb
 from repro.node.write_buffer import WriteBuffer
 from repro.params import (
@@ -37,18 +38,8 @@ try:  # numpy is optional: without it plan_block always declines.
 except ImportError:  # pragma: no cover - exercised via numpy-less images
     _np = _vk = None
 
-__all__ = ["BlockPlan", "MemorySystem", "t3d_memory_system",
+__all__ = ["BlockPlan", "MemorySystem", "ReadPlan", "t3d_memory_system",
            "workstation_memory_system"]
-
-#: plan_block's exactness envelope: cycle values on the 2**-8 grid and
-#: below 2**44 need at most 52 significant bits, so every float64 sum
-#: of them is exact and any grouping gives the scalar loop's bits.
-_GRID = 256.0
-_CEILING = float(1 << 44)
-
-
-def _on_grid(x: float) -> bool:
-    return (x * _GRID).is_integer() and abs(x) < _CEILING
 
 
 class BlockPlan(NamedTuple):
@@ -61,6 +52,21 @@ class BlockPlan(NamedTuple):
     row_cycles: object
     #: Per store: the DRAM cost its write-buffer entry drains with.
     drains: object
+
+
+class ReadPlan(NamedTuple):
+    """A run of reads timed ahead of a store stream: nothing changes
+    until ``commit()``, which the caller runs once the stream it feeds
+    has run (the two touch disjoint state)."""
+
+    #: float64 numpy array: each read's cycles.
+    cycles: object
+    #: The value each read returns (a sequence; see :class:`WordRun`).
+    values: object
+    commit: object
+    #: ``on_retire`` callbacks of write-buffer entries whose retirement
+    #: would change what the reads saw (:meth:`WriteBuffer.stream`).
+    isolate: tuple = ()
 
 
 class MemorySystem:
@@ -81,6 +87,7 @@ class MemorySystem:
             params.write_buffer,
             apply=lambda addr, value: _store(addr & LOCAL_ADDR_MASK, value),
             line_bytes=params.l1.line_bytes,
+            apply_entries=self._commit_entries,
         )
         # The common T3D node shape (direct-mapped L1, no L2, TLB that
         # never misses) gets a flattened read path in :meth:`read`.
@@ -315,19 +322,12 @@ class MemorySystem:
                        dp.access_cycles + dp.off_page_cycles
                        + dp.same_bank_cycles)
         times = [now, wb._last_retire] + [e.retire_time for e in pending]
-        if not all(_on_grid(x) for x in (
+        if not all(on_grid(x) for x in (
                 *times, hit_cycles, wb._issue_cycles, *row_charges,
                 *drain_kinds, *(d / cap for d in drain_kinds))):
             return None
 
-        l1 = self.l1
-        lb = l1._line_bytes
-        tags = l1._tags
-        resident = _np.full(l1._num_sets, -1, dtype=_np.int64)
-        resident[_np.fromiter(tags, _np.int64, len(tags))] = _np.fromiter(
-            tags.values(), _np.int64, len(tags)) // lb
-        before = resident.copy()
-        hits = _vk.direct_mapped_hit_mask(loads, lb, l1._num_sets, resident)
+        hits, l1_commit = self._plan_l1(loads)
         # The DRAM sees, in program order, each row's L1-missing loads
         # then its store's line.
         load_pos = _np.arange(nloads) + _np.repeat(_np.arange(nrows), counts)
@@ -337,35 +337,139 @@ class MemorySystem:
         seq[store_pos] = lines & mask
         to_dram = _np.ones(nloads + nrows, dtype=bool)
         to_dram[load_pos[hits]] = False
-        open_rows = _np.array(self.dram._open_row, dtype=_np.int64)
-        bank, miss, conflict = _vk.dram_row_events(
-            seq[to_dram], interleave=dp.bank_interleave_bytes,
-            banks=dp.banks, page_bytes=dp.page_bytes, open_rows=open_rows,
-            last_bank=self.dram._last_bank)
+        planned = self.dram.plan_access(seq[to_dram], dp.off_page_cycles,
+                                        dp.same_bank_cycles)
+        if planned is None:
+            return None
+        dram_costs, dram_commit = planned
         cost = _np.zeros(nloads + nrows)
-        cost[to_dram] = (dp.access_cycles + miss * dp.off_page_cycles
-                         + conflict * dp.same_bank_cycles)
+        cost[to_dram] = dram_costs
         load_cycles = _np.where(hits, hit_cycles, cost[load_pos])
         drains = cost[store_pos]
         csum = _np.concatenate(([0.0], _np.cumsum(load_cycles)))
         row_cycles = csum[ends] - csum[ends - counts] + sum(row_charges)
         if not (max(times) + row_cycles.sum() + nrows * wb._issue_cycles
-                + drains.sum() / cap) < _CEILING:
+                + drains.sum() / cap) < CEILING:
             return None
-
-        changed = _np.flatnonzero(resident != before)
-        tags.update(zip(changed.tolist(), (resident[changed] * lb).tolist()))
-        nhits = int(hits.sum())
-        l1.hits += nhits
-        l1.misses += nloads - nhits
-        dram = self.dram
-        dram._open_row[:] = open_rows.tolist()
-        if len(bank):
-            dram._last_bank = int(bank[-1])
-        dram.accesses += len(bank)
-        dram.row_misses += int(miss.sum())
-        dram.same_bank_conflicts += int(conflict.sum())
+        l1_commit()
+        dram_commit()
         return BlockPlan(load_cycles, row_cycles, drains)
+
+    def _plan_l1(self, addrs):
+        """Direct-mapped L1 hit mask of read-allocating accesses to
+        ``addrs`` (an int64 numpy array or a ``range``) from the current
+        tags; returns ``(hits, commit)``, and nothing changes until
+        ``commit()``."""
+        l1 = self.l1
+        lb = l1._line_bytes
+        tags = l1._tags
+        resident = _np.full(l1._num_sets, -1, dtype=_np.int64)
+        resident[_np.fromiter(tags, _np.int64, len(tags))] = _np.fromiter(
+            tags.values(), _np.int64, len(tags)) // lb
+        before = resident.copy()
+        hits = _np.empty(len(addrs), dtype=bool)
+        for start, piece in _vk.chunks(addrs):
+            hits[start:start + len(piece)] = _vk.direct_mapped_hit_mask(
+                piece, lb, l1._num_sets, resident)
+
+        def commit():
+            changed = _np.flatnonzero(resident != before)
+            tags.update(zip(changed.tolist(),
+                            (resident[changed] * lb).tolist()))
+            nhits = int(hits.sum())
+            l1.hits += nhits
+            l1.misses += len(hits) - nhits
+
+        return hits, commit
+
+    def plan_reads(self, addr: int, nwords: int) -> ReadPlan | None:
+        """Time :meth:`read` of the words at ``addr + 8 * i`` ahead, for
+        a store stream the reads feed (:meth:`WriteBuffer.stream` with a
+        flushing :class:`BlockingSource`), or decline with None.
+
+        Each value is the youngest pending write-buffer store to its
+        word, else memory: flushing during the stream only moves such a
+        value into memory.  Declines without numpy, while tracing,
+        outside the direct-mapped, L2-less, never-missing-TLB shape, for
+        words beyond the local offset range, and when a pending store
+        could be seen differently over time: a local store to a synonym
+        (an Annex-bearing address) of a read word.
+        """
+        mask = LOCAL_ADDR_MASK
+        last = addr + (nwords - 1) * WORD_BYTES
+        if (_vk is None or _trace.TRACE_ENABLED or not self._fast_read
+                or addr < 0 or last > mask):
+            return None
+        first = addr - addr % WORD_BYTES
+        overlay = {}
+        for entry in self.write_buffer._pending:      # youngest wins
+            for word, value in entry.words.items():
+                local = word & mask
+                if not first <= local <= last:
+                    continue
+                if word == local and entry.apply_words:
+                    overlay[(local - first) // WORD_BYTES] = value
+                elif word == local or entry.apply_words:
+                    # Forwarded but never committed here, or a synonym
+                    # whose retirement changes what the word reads.
+                    return None
+        hits, l1_commit = self._plan_l1(
+            range(addr, last + WORD_BYTES, WORD_BYTES))
+        dp = self.dram.params
+        planned = self.dram.plan_access(
+            addr + WORD_BYTES * _np.flatnonzero(~hits), dp.off_page_cycles,
+            dp.same_bank_cycles)
+        hit_cycles = self.params.l1.hit_cycles
+        if planned is None or not on_grid(hit_cycles):
+            return None
+        cycles = _np.full(nwords, hit_cycles, dtype=_np.float64)
+        cycles[~hits] = planned[0]
+
+        def commit():
+            l1_commit()
+            planned[1]()
+
+        # Memory changes during the stream only where a pending store
+        # retires, and the overlay holds its value there already.
+        return ReadPlan(cycles, WordRun(self.memory, addr, nwords, overlay),
+                        commit)
+
+    def stream_writes(self, now: float, addrs, values: list, source,
+                      isolate=()) -> float | None:
+        """:meth:`write_cycles` of ``values[k]`` to ``addrs[k]`` (a
+        sequence), each at the clock ``source`` gives, through
+        :meth:`WriteBuffer.stream`; returns the final clock, or None
+        (every unit untouched) where that declines or the node is
+        outside the direct-mapped, L2-less, never-missing-TLB shape."""
+        if not self._fast_read:
+            return None
+        dram = self.dram
+        dp = dram.params
+        line_bytes = self.write_buffer.line_bytes
+        mask = LOCAL_ADDR_MASK
+
+        def drain(a):
+            return dram.access((a - a % line_bytes) & mask)
+
+        kinds = (dp.access_cycles, dp.access_cycles + dp.off_page_cycles,
+                 dp.access_cycles + dp.off_page_cycles + dp.same_bank_cycles)
+        return self.write_buffer.stream(now, addrs, values, drain, kinds,
+                                        source, isolate=isolate)
+
+    def _commit_entries(self, word_dicts: list) -> None:
+        """Commit retired write-buffer entries, oldest first, as the
+        per-word ``apply`` would: merged into one range write when no
+        address carries Annex bits (so no two spell one location)."""
+        merged = {}
+        for words in word_dicts:
+            merged.update(words)
+        if max(merged) <= LOCAL_ADDR_MASK:
+            self.memory.store_words(merged)
+            return
+        store = self.memory.store
+        for words in word_dicts:
+            for addr, value in words.items():
+                store(addr & LOCAL_ADDR_MASK, value)
 
     # ------------------------------------------------------------------
     # Probe fast paths (exact batched equivalents of per-access loops).

@@ -30,10 +30,47 @@ the write-buffer hazards of the paper reproducible:
 
 from __future__ import annotations
 
+from collections import deque
+from typing import NamedTuple
+
+from repro.node.exact import CEILING, array_on_grid, on_grid
 from repro.params import WORD_BYTES, WriteBufferParams
 from repro.trace import tracer as _trace
 
-__all__ = ["WriteBuffer", "PendingWrite"]
+__all__ = ["BlockingSource", "PendingWrite", "PrefetchSource", "WriteBuffer"]
+
+#: Stores per chunk of :meth:`WriteBuffer.stream`.
+_CHUNK = 512
+
+
+class BlockingSource(NamedTuple):
+    """Clock input of a store stream whose values come from blocking
+    reads: the read of word ``k`` issues ``lead`` cycles after store
+    ``k - 1`` (at the stream's start clock for ``k = 0``), and store
+    ``k`` issues ``gaps[k]`` cycles after that read."""
+
+    #: float64 numpy array, one gap per store.
+    gaps: object
+    lead: float = 0.0
+    #: The read is a local load, which flushes retired entries when it
+    #: issues (:meth:`MemorySystem.read` forwarding check).
+    flush: bool = False
+
+
+class PrefetchSource(NamedTuple):
+    """Clock input of a store stream fed by the prefetch FIFO: store
+    ``k`` issues ``pop_cycles`` after read ``k``'s reply (or after the
+    previous store's loop overhead, if later); read ``k + D`` issues
+    ``loop_cycles`` after store ``k`` and costs ``issue_cycles``."""
+
+    #: Reply times of the ``D`` reads issued before the first pop.
+    ready: list
+    #: float64 numpy array: for every read of the stream, the cycles
+    #: from its issue to its reply (the first ``D`` are in ``ready``).
+    latency: object
+    pop_cycles: float
+    loop_cycles: float
+    issue_cycles: float
 
 
 class PendingWrite:
@@ -78,13 +115,17 @@ class WriteBuffer:
     """
 
     def __init__(self, params: WriteBufferParams, apply=None,
-                 line_bytes: int = 32):
+                 line_bytes: int = 32, apply_entries=None):
         self.params = params
         self.line_bytes = line_bytes
         self._issue_cycles = params.issue_cycles
         self._merging = params.merging
         self._capacity = params.entries
         self._apply = apply or (lambda addr, value: None)
+        #: Optional batch committer for :meth:`stream`: called with the
+        #: words dicts of retired entries, oldest first; must leave
+        #: memory as ``apply`` word by word in that order would.
+        self._apply_entries = apply_entries
         self._pending: list[PendingWrite] = []
         self._last_retire: float = 0.0
         self.merged_writes = 0
@@ -92,24 +133,35 @@ class WriteBuffer:
         #: Processor identity for trace attribution; set by the owning
         #: Node (a bare memory system has none).
         self.owner_pe: int | None = None
-        #: Dirty-buffer registry shared with the owning Machine: the
-        #: buffer appends itself on each empty->nonempty transition so
-        #: ``Machine.settle`` only visits buffers with pending entries.
+        #: Dirty-buffer registry shared with the owning Machine (an
+        #: insertion-ordered dict used as a set): see :meth:`mark_dirty`.
         #: A bare memory system (no machine) leaves this None.
-        self.settle_queue: list | None = None
+        self.settle_queue: dict | None = None
         if _trace.TRACE_ENABLED:
             _trace.TRACER.register_provider("write_buffer", self)
 
     def counters(self) -> dict:
         """Counter-registry hook: this unit's lifetime totals.
 
-        Only counters every code path maintains are reported: the
-        batched bulk and ``put_scatter`` store paths append entries
-        directly, so a per-push counter here would undercount them.
+        Only counters every code path maintains are reported:
+        :meth:`stream` and the ``put_scatter`` kernel add entries
+        without :meth:`push`, so a per-push counter here would
+        undercount them.
         """
         return {"merged_writes": self.merged_writes,
                 "drained_entries": self.drained_entries,
                 "pending": len(self._pending)}
+
+    def mark_dirty(self) -> None:
+        """Register with the settle queue; called on each empty to
+        non-empty transition of the pending list, so
+        ``Machine.settle`` only visits buffers with pending entries.
+        Registering again moves the buffer to the end: ``settle``
+        drains the latest registration first."""
+        queue = self.settle_queue
+        if queue is not None:
+            queue.pop(self, None)
+            queue[self] = None
 
     def reset(self) -> None:
         self._pending.clear()
@@ -202,8 +254,8 @@ class WriteBuffer:
                          words={word: value}, apply_words=apply_words,
                          on_retire=on_retire, meta=meta)
         )
-        if len(self._pending) == 1 and self.settle_queue is not None:
-            self.settle_queue.append(self)
+        if len(self._pending) == 1:
+            self.mark_dirty()
         if _trace.TRACE_ENABLED:
             _trace.emit("wb_push", t=now, pe=self.owner_pe, line=line,
                         stall=stall, retire=retire)
@@ -236,8 +288,8 @@ class WriteBuffer:
             PendingWrite(line_addr=line, enqueue_time=start,
                          retire_time=retire, words={word: value})
         )
-        if len(self._pending) == 1 and self.settle_queue is not None:
-            self.settle_queue.append(self)
+        if len(self._pending) == 1:
+            self.mark_dirty()
         if _trace.TRACE_ENABLED:
             _trace.emit("wb_push", t=now, pe=self.owner_pe, line=line,
                         stall=stall, retire=retire)
@@ -265,3 +317,201 @@ class WriteBuffer:
         done = max(now, pending[-1].retire_time) if pending else now
         self.flush_retired(done)
         return done
+
+    def stream(self, now: float, addrs: list, values: list, drain,
+               drain_kinds, source, remote=None, isolate=()):
+        """Issue a run of stores in one scalar loop; return the clock
+        after the last one, or None (every unit untouched).
+
+        Store ``k`` writes ``values[k]`` at ``addrs[k]`` (sequences the
+        loop slices a chunk at a time) at the clock
+        ``source`` (:class:`BlockingSource` or :class:`PrefetchSource`)
+        gives it.  The result is bit-identical to issuing the stores one
+        by one through :meth:`MemorySystem.write_cycles` (``remote`` is
+        None) or :meth:`RemoteAccessUnit.store` (``remote`` is the
+        ``(on_retire, meta)`` of the target's entries):
+
+        * a local store pre-scans the pending entries, retired but
+          unflushed ones included, *before* its flush: with no entry for
+          its line it calls ``drain(addr)`` (the DRAM access), and a
+          match on an entry that its flush then retires becomes a
+          zero-drain entry;
+        * a remote store calls ``drain(addr)`` (the pure drain peek) before
+          its flush, and merges only into an entry the flush leaves;
+        * a local source read flushes when it issues; the retired
+          entries of remote stores run their ``on_retire`` at each flush
+          point, local ones are committed to memory in batches (nothing
+          in the stream reads the memory they write).
+
+        ``drain_kinds`` lists every value ``drain`` can return.  Declines
+        when tracing is on, the depth is not a power of two, a pending
+        entry's ``on_retire`` is in ``isolate`` (its target's state was
+        read ahead by the caller), pending retire times are out of
+        order or share a line, or a time or cycle value leaves the
+        exactness envelope (:mod:`repro.node.exact`).
+        """
+        pending = self._pending
+        cap = self._capacity
+        merging = self._merging
+        issue = self._issue_cycles
+        if _trace.TRACE_ENABLED or cap & (cap - 1):
+            return None
+        last = self._last_retire
+        e_line = [e.line_addr for e in pending]
+        e_retire = [e.retire_time for e in pending]
+        open_line = dict(zip(e_line, range(len(e_line)))) if merging else {}
+        if (e_retire != sorted(e_retire) or (pending and last < e_retire[-1])
+                or (merging and len(open_line) != len(e_line))
+                or any(e.on_retire is not None and e.on_retire in isolate
+                       for e in pending)):
+            return None
+        n = len(addrs)
+        kinds = (*drain_kinds, 0.0)
+        prefetch = isinstance(source, PrefetchSource)
+        if prefetch:
+            cycles = source.latency
+            times = [now, last, *e_retire, *source.ready]
+            per_store = (source.pop_cycles + source.loop_cycles
+                         + source.issue_cycles)
+            charges = [source.pop_cycles, source.loop_cycles,
+                       source.issue_cycles]
+        else:
+            cycles = source.gaps
+            times = [now, last, *e_retire]
+            per_store = source.lead
+            charges = [source.lead]
+        if not (all(on_grid(x) for x in (
+                *times, *charges, issue, *kinds, *(d / cap for d in kinds)))
+                and array_on_grid(cycles)
+                and max(times) + float(cycles.sum())
+                + n * (per_store + issue + max(kinds) / cap) < CEILING):
+            return None
+
+        lb = self.line_bytes
+        wbytes = WORD_BYTES
+        e_start: list = [None] * len(pending)
+        e_words = [e.words for e in pending]
+        e_obj: list = list(pending)
+        retired: list = []
+        local = remote is None
+        if not local:
+            on_retire, meta = remote
+
+        def flush(h, t):
+            count = len(e_retire)
+            while h < count and e_retire[h] <= t:
+                obj = e_obj[h]
+                if obj is None:
+                    retired.append(e_words[h])
+                else:
+                    if obj.apply_words:
+                        retired.append(obj.words)
+                    if obj.on_retire is not None:
+                        obj.on_retire(obj)
+                if merging:
+                    del open_line[e_line[h]]
+                h += 1
+            return h
+
+        if prefetch:
+            ready = deque(source.ready)
+            depth = len(ready)
+            pop, loop, fetch = charges
+        else:
+            lead = source.lead
+            read_flush = source.flush
+            depth = 0
+        h = 0
+        drained = 0
+        merged = 0
+        clock = now
+        # Chunked, so the per-store lists stay short: retired entries
+        # are dropped (and their words committed) between chunks.
+        for c0 in range(0, n, _CHUNK):
+            c1 = min(n, c0 + _CHUNK)
+            if h:
+                for column in (e_line, e_retire, e_start, e_words, e_obj):
+                    del column[:h]
+                for line in open_line:
+                    open_line[line] -= h
+                drained += h
+                h = 0
+                self._commit(retired)
+                retired.clear()
+            chunk = cycles[c0 + depth:c1 + depth].tolist()
+            chunk_values = values[c0:c1]
+            for k in range(c0, c1):
+                if prefetch:
+                    r = ready.popleft()
+                    if r > clock:
+                        clock = r
+                    clock += pop
+                else:
+                    if (read_flush and h < len(e_retire)
+                            and e_retire[h] <= clock):
+                        h = flush(h, clock)
+                    clock += chunk[k - c0]
+                a = addrs[k]
+                line = a - a % lb
+                j = open_line.get(line)
+                if j is not None and e_retire[j] > clock:
+                    if e_retire[h] <= clock:
+                        h = flush(h, clock)
+                    e_words[j][a - a % wbytes] = chunk_values[k - c0]
+                    merged += 1
+                    clock += issue
+                else:
+                    d = 0.0 if local and j is not None else drain(a)
+                    count = len(e_retire)
+                    if h < count and e_retire[h] <= clock:
+                        h = flush(h, clock)
+                    stall = 0.0
+                    if count - h >= cap:
+                        stall = e_retire[h] - clock
+                        if stall < 0.0:
+                            stall = 0.0
+                        h = flush(h, clock + stall)
+                    start = clock + stall
+                    r = (start if start > last else last) + d / cap
+                    last = r
+                    words = {a - a % wbytes: chunk_values[k - c0]}
+                    e_obj.append(None if local else PendingWrite(
+                        line, start, r, words, False, on_retire, meta))
+                    e_line.append(line)
+                    e_retire.append(r)
+                    e_start.append(start)
+                    e_words.append(words)
+                    if merging:
+                        open_line[line] = count
+                    if count == h:
+                        self.mark_dirty()
+                    clock += issue + stall
+                if prefetch:
+                    clock += loop
+                    if k + depth < n:
+                        ready.append(clock + chunk[k - c0])
+                        clock += fetch
+                else:
+                    clock += lead
+
+        pending[:] = [
+            e_obj[i] if e_obj[i] is not None else PendingWrite(
+                e_line[i], e_start[i], e_retire[i], e_words[i])
+            for i in range(h, len(e_retire))]
+        self._last_retire = last
+        self.merged_writes += merged
+        self.drained_entries += drained + h
+        self._commit(retired)
+        return clock
+
+    def _commit(self, word_dicts: list) -> None:
+        """Commit retired entries' words, oldest entry first."""
+        if not word_dicts:
+            return
+        if self._apply_entries is not None:
+            self._apply_entries(word_dicts)
+            return
+        apply = self._apply
+        for words in word_dicts:
+            for addr, value in words.items():
+                apply(addr, value)

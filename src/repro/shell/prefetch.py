@@ -24,8 +24,22 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.params import LOCAL_ADDR_MASK, NetworkParams, PrefetchParams
+from repro.node.exact import on_grid
+from repro.node.memory import WordRun
+from repro.node.memsys import ReadPlan
+from repro.node.write_buffer import PrefetchSource
+from repro.params import (
+    LOCAL_ADDR_MASK,
+    WORD_BYTES,
+    NetworkParams,
+    PrefetchParams,
+)
 from repro.trace import tracer as _trace
+
+try:  # numpy is optional: without it plan_read declines.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via numpy-less images
+    _np = None
 
 __all__ = ["PrefetchQueue", "QueueFullError"]
 
@@ -81,6 +95,72 @@ class PrefetchQueue:
     def depth(self) -> int:
         return self.params.queue_depth
 
+    def _peer(self, pe: int) -> tuple:
+        peer = self._peer_cache.get(pe)
+        if peer is None:
+            target = self.fabric.node(pe)
+            peer = self._peer_cache[pe] = (
+                target.memsys.dram.access_with,
+                target.memsys.params.dram.same_bank_cycles,
+                target.memsys.params.dram.access_cycles,
+                2 * max(0, self.fabric.hops(self.my_pe, pe) - 1)
+                * self.network.hop_cycles,
+                target.memsys.memory.load,
+            )
+        return peer
+
+    def plan_read(self, now: float, pe: int, offset: int, nwords: int,
+                  loop_cycles: float):
+        """The pipelined read of the words at ``offset + 8 * i`` of
+        ``pe`` that ``bulk_read_prefetch`` runs from an empty queue at
+        ``now``: issue ``depth`` reads, then per word pop, store,
+        ``loop_cycles`` and issue the next read.
+
+        Returns ``(clock, source, plan)``: the clock after the first
+        issues, the :class:`PrefetchSource` of the store stream, and
+        the :class:`ReadPlan` whose ``commit()`` leaves the queue and
+        the target's DRAM as the per-word loop does.  The target's DRAM
+        row events (remote off-page penalty) are timed in one pass.
+        None where that is not exact: a non-empty queue, a window that
+        needs the small-group barrier, tracing, reading this node, or
+        off the exactness grid.
+        """
+        mask = LOCAL_ADDR_MASK
+        p = self.params
+        window = min(p.queue_depth, nwords)
+        if (_np is None or _trace.TRACE_ENABLED or self._fifo
+                or self._issued_since_pop or pe == self.my_pe
+                or window < p.small_group_barrier_threshold
+                or offset < 0 or offset + (nwords - 1) * WORD_BYTES > mask):
+            return None
+        target = self.fabric.node(pe)
+        _access, same_bank, base, extra_hop_cycles, _load = self._peer(pe)
+        planned = target.memsys.dram.plan_access(
+            range(offset, offset + nwords * WORD_BYTES, WORD_BYTES),
+            15.0, same_bank)
+        if planned is None or not all(on_grid(x) for x in (
+                now, p.issue_cycles, p.round_trip_cycles, base,
+                extra_hop_cycles, loop_cycles)):
+            return None
+        costs, dram_commit = planned
+        latency = (p.issue_cycles + p.round_trip_cycles + (costs - base)
+                   + extra_hop_cycles)
+        ready = [now + i * p.issue_cycles + lat
+                 for i, lat in enumerate(latency[:window].tolist())]
+        source = PrefetchSource(ready, latency, p.pop_cycles, loop_cycles,
+                                p.issue_cycles)
+        values = WordRun(target.memsys.memory, offset, nwords)
+
+        def commit():
+            dram_commit()
+            self.issues += nwords
+            self.pops += nwords
+
+        remote = self.fabric.node(self.my_pe).remote
+        plan = ReadPlan(None, values, commit,
+                        (remote.inbound(pe), remote.inbound(self.my_pe)))
+        return now + window * p.issue_cycles, source, plan
+
     def issue(self, now: float, pe: int, offset: int) -> float:
         """Issue one binding prefetch; returns the 4-cycle issue cost.
 
@@ -95,19 +175,8 @@ class PrefetchQueue:
             )
         self.issues += 1
         self._issued_since_pop += 1
-        peer = self._peer_cache.get(pe)
-        if peer is None:
-            target = self.fabric.node(pe)
-            peer = (
-                target.memsys.dram.access_with,
-                target.memsys.params.dram.same_bank_cycles,
-                target.memsys.params.dram.access_cycles,
-                2 * max(0, self.fabric.hops(self.my_pe, pe) - 1)
-                * self.network.hop_cycles,
-                target.memsys.memory.load,
-            )
-            self._peer_cache[pe] = peer
-        access_with, same_bank, base, extra_hop_cycles, load = peer
+        access_with, same_bank, base, extra_hop_cycles, load = \
+            self._peer(pe)
         local = offset & LOCAL_ADDR_MASK
         mem = access_with(local, off_page_cycles=15.0,
                           same_bank_cycles=same_bank)

@@ -25,6 +25,11 @@ by :class:`repro.machine.machine.Machine`) providing ``hops(src, dst)``,
 
 from __future__ import annotations
 
+from array import array
+
+from repro.node.exact import on_grid
+from repro.node.memory import WordRun
+from repro.node.memsys import ReadPlan
 from repro.params import (
     LOCAL_ADDR_MASK,
     NetworkParams,
@@ -32,6 +37,11 @@ from repro.params import (
     WORD_BYTES,
 )
 from repro.trace import tracer as _trace
+
+try:  # numpy is optional: without it the batched plans decline.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via numpy-less images
+    _np = None
 
 __all__ = ["AckRecord", "PeerLink", "RemoteAccessUnit",
            "make_inbound_on_retire"]
@@ -330,6 +340,198 @@ class RemoteAccessUnit:
         self._line_snapshots[line_full] = snapshot
         word = full_addr - (full_addr % WORD_BYTES)
         return cycles, snapshot[word]
+
+    # ------------------------------------------------------------------
+    # Batched reads and stores (exact equivalents of the per-word loops)
+    # ------------------------------------------------------------------
+
+    def inbound(self, pe: int):
+        """The retirement callback of stores into ``pe``."""
+        return self._peer(pe).on_retire
+
+    def _plan_target(self, pe: int, offset: int, nwords: int):
+        """Shared checks of a batched read of ``nwords`` words of ``pe``
+        from ``offset``: returns ``(peer, values)`` or None."""
+        mask = LOCAL_ADDR_MASK
+        if (_np is None or _trace.TRACE_ENABLED or pe == self.my_pe
+                or offset < 0 or offset + (nwords - 1) * WORD_BYTES > mask):
+            return None
+        peer = self._peer(pe)
+        return peer, WordRun(peer.node.memsys.memory, offset, nwords)
+
+    def plan_uncached(self, pe: int, offset: int,
+                      nwords: int) -> ReadPlan | None:
+        """:meth:`uncached_read` of the words at ``offset + 8 * i`` of
+        ``pe``, timed in one pass (the target's DRAM row events with the
+        remote off-page penalty); None where that is not exact."""
+        target = self._plan_target(pe, offset, nwords)
+        if target is None:
+            return None
+        peer, values = target
+        base = self.params.read_overhead_cycles + 2 * peer.flight
+        planned = peer.dram.plan_access(
+            range(offset, offset + nwords * WORD_BYTES, WORD_BYTES),
+            self.params.remote_off_page_cycles, peer.same_bank)
+        if planned is None or not on_grid(self.params.read_overhead_cycles) \
+                or not on_grid(peer.flight):
+            return None
+        cycles, dram_commit = planned
+        cycles += base
+
+        def commit():
+            dram_commit()
+            self.reads += nwords
+
+        return ReadPlan(cycles, values, commit,
+                        (peer.on_retire, self.inbound(self.my_pe)))
+
+    def plan_cached(self, pe: int, offset: int, full_addr: int,
+                    nwords: int, flush_every: int | None):
+        """:meth:`cached_read` of the words at ``offset + 8 * i`` of
+        ``pe`` (full addresses ``full_addr + 8 * i``), invalidating the
+        current word's line with :meth:`invalidate_cached_line` after
+        every ``flush_every``-th word and the last (never, for None).
+
+        Returns ``(plan, tail)``: ``plan.cycles[i]`` is word ``i``'s read
+        plus the invalidation charged after word ``i - 1`` if any, and
+        ``tail`` the one after the last word.  The reads walk the
+        transfer a line run at a time: a run (consecutive words of one
+        line, up to an invalidation) looks its line up once and then
+        hits.  A run that hits on a line resident before the stream
+        reads that line's old snapshot; every other word reads the
+        target's memory, which nothing changes during the stream.  None
+        where that is not exact: outside a direct-mapped L1, or off the
+        exactness grid.
+        """
+        target = self._plan_target(pe, offset, nwords)
+        l1 = self.memsys.l1
+        p = self.params
+        hit_cycles = self.memsys.params.l1.hit_cycles
+        flush_cycles = self.memsys.params.l1.flush_line_cycles
+        if target is None or l1._assoc != 1 or not all(on_grid(x) for x in (
+                p.read_overhead_cycles, p.cached_line_extra_cycles,
+                hit_cycles, flush_cycles)):
+            return None
+        peer, values = target
+        lb = l1._line_bytes
+        nsets = l1._num_sets
+        tags = dict(l1._tags)
+        snapshots = dict(self._line_snapshots)
+        miss_at = array("q")
+        flush_at = array("q")
+        hits = 0
+        i = 0
+        while i < nwords:
+            full = full_addr + i * WORD_BYTES
+            line = full - full % lb
+            end = min(nwords, i + (line + lb - full + WORD_BYTES - 1)
+                      // WORD_BYTES)
+            flushed = flush_every is not None and (
+                i // flush_every < end // flush_every or end == nwords)
+            if flushed:
+                end = min(end, (i // flush_every + 1) * flush_every)
+            index = (full // lb) % nsets
+            if tags.get(index) == line:
+                hits += end - i
+                old = snapshots.get(line)
+                if old is not None:
+                    for k in range(i, end):
+                        word = full + (k - i) * WORD_BYTES
+                        word -= word % WORD_BYTES
+                        if word in old:
+                            values.overrides[k] = old[word]
+            else:
+                hits += end - i - 1
+                miss_at.append(i)
+                evicted = tags.get(index)
+                if evicted is not None:
+                    snapshots.pop(evicted, None)
+                tags[index] = line
+                snapshots[line] = None          # built at commit
+            if flushed:
+                flush_at.append(end - 1)
+                snapshots.pop(line, None)
+                if tags.get(index) == line:
+                    del tags[index]
+            i = end
+        misses = _np.frombuffer(miss_at, dtype=_np.int64)
+        fills = len(miss_at)
+        planned = peer.dram.plan_access(
+            offset + WORD_BYTES * misses, p.remote_off_page_cycles,
+            peer.same_bank)
+        if planned is None or not on_grid(peer.flight):
+            return None
+        cycles = _np.full(nwords, hit_cycles, dtype=_np.float64)
+        cycles[misses] = (p.read_overhead_cycles + p.cached_line_extra_cycles
+                          + 2 * peer.flight + planned[0])
+        # Each invalidation is charged before the next word's read.
+        flushes = _np.frombuffer(flush_at, dtype=_np.int64) + 1
+        cycles[flushes[flushes < nwords]] += flush_cycles
+        tail = flush_cycles if flush_at and flush_at[-1] == nwords - 1 \
+            else 0.0
+        target_load = peer.node.memsys.memory.load
+        line_words = lb // WORD_BYTES
+
+        def commit():
+            planned[1]()
+            l1._tags.clear()
+            l1._tags.update(tags)
+            l1.hits += hits
+            l1.misses += nwords - hits
+            self.cached_reads += fills
+            for line, snap in snapshots.items():
+                if snap is None:
+                    local = line & LOCAL_ADDR_MASK
+                    snapshots[line] = {
+                        line + k * WORD_BYTES: target_load(
+                            local + k * WORD_BYTES)
+                        for k in range(line_words)}
+            self._line_snapshots.clear()
+            self._line_snapshots.update(snapshots)
+
+        plan = ReadPlan(cycles, values, commit,
+                        (peer.on_retire, self.inbound(self.my_pe)))
+        return plan, tail
+
+    def stream_stores(self, now: float, pe: int, offset: int,
+                      full_addr: int, values: list, source) -> float | None:
+        """:meth:`store` of ``values`` to the words at ``offset + 8 * i``
+        of ``pe`` (full addresses ``full_addr + 8 * i``), each at the
+        clock ``source`` gives, through :meth:`WriteBuffer.stream`;
+        returns the final clock, or None (every unit untouched).
+
+        The drain of each non-merging store peeks the target's DRAM
+        before the store's flush, as :meth:`store` does, and retiring
+        entries run the target's real ``on_retire`` at each flush point.
+        """
+        nwords = len(values)
+        if (pe == self.my_pe or offset < 0
+                or offset + (nwords - 1) * WORD_BYTES > LOCAL_ADDR_MASK):
+            return None
+        peer = self._peer(pe)
+        p = self.params
+        store_drain = p.store_drain_cycles
+        off_page = p.remote_off_page_cycles
+        same_bank = peer.same_bank
+        access = peer.access_cycles
+        peek = peer.peek_access_with
+        mask = LOCAL_ADDR_MASK
+        delta = offset - full_addr
+
+        def drain(full):
+            return store_drain + (
+                peek((full + delta) & mask, off_page, same_bank) - access)
+
+        kinds = tuple(store_drain + (k - access) for k in (
+            access, access + off_page, access + off_page + same_bank))
+        addrs = range(full_addr, full_addr + nwords * WORD_BYTES, WORD_BYTES)
+        clock = self.memsys.write_buffer.stream(
+            now, addrs, values, drain, kinds, source,
+            remote=(peer.on_retire, peer.retire_meta),
+            isolate=(self.inbound(self.my_pe),))
+        if clock is not None:
+            self.stores += nwords
+        return clock
 
     def invalidate_cached_line(self, full_addr: int) -> float:
         """Coherence flush of a remotely-fetched line (23 cycles)."""

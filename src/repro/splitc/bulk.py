@@ -22,7 +22,8 @@ supports strided gathers, tested separately.
 
 from __future__ import annotations
 
-from repro.node.write_buffer import PendingWrite
+from repro.node.exact import on_grid
+from repro.node.write_buffer import BlockingSource, PendingWrite
 from repro.params import LOCAL_ADDR_MASK, WORD_BYTES
 from repro.shell.annex import ReadMode
 from repro.splitc.gptr import GlobalPtr
@@ -55,11 +56,33 @@ def _words(nbytes: int) -> int:
 USE_BATCHED_BULK = True
 
 
+def _batched(ctx) -> bool:
+    """Whether to try the batched path: the loop overhead it folds into
+    precomputed gaps must sit on the exactness grid."""
+    return USE_BATCHED_BULK and on_grid(ctx.node.alpha.loop_iteration())
+
+
+def _stream_reads(ctx, now: float, dst_offset: int, plan, source) -> bool:
+    """Store a planned read's values to the local words at
+    ``dst_offset`` through one write-buffer stream starting at ``now``,
+    then commit the read side; False (nothing changed) where the stream
+    declines."""
+    addrs = range(dst_offset, dst_offset + len(plan.values) * WORD_BYTES,
+                  WORD_BYTES)
+    clock = ctx.node.memsys.stream_writes(now, addrs, plan.values, source,
+                                          plan.isolate)
+    if clock is None:
+        return False
+    plan.commit()
+    ctx.clock = clock
+    return True
+
+
 def _local_copy(sc, dst_offset: int, src_offset: int, nbytes: int) -> None:
     nwords = _words(nbytes)
     ctx = sc.ctx
-    if USE_BATCHED_BULK and ctx.node.memsys._fast_read:
-        _local_copy_fast(ctx, dst_offset, src_offset, nwords)
+    if USE_BATCHED_BULK and _local_copy_fast(ctx, dst_offset, src_offset,
+                                             nwords):
         return
     for i in range(nwords):
         value = ctx.local_read(src_offset + i * WORD_BYTES)
@@ -68,13 +91,15 @@ def _local_copy(sc, dst_offset: int, src_offset: int, nbytes: int) -> None:
 
 
 def _local_copy_fast(ctx, dst_offset: int, src_offset: int,
-                     nwords: int) -> None:
+                     nwords: int) -> bool:
     """The word-copy loop with the local read and write pipelines
-    inlined (exact for the ``_fast_read`` node shape: direct-mapped L1,
-    no L2, never-missing TLB).  Identical state transitions and clock
-    additions in the same order as the reference loop; only the Python
-    call chain per word is flattened."""
+    inlined, for the ``_fast_read`` node shape (direct-mapped L1, no
+    L2, never-missing TLB; False, nothing done, otherwise).  Identical
+    state transitions and clock additions in the same order as the
+    reference loop; only the Python call chain per word is flattened."""
     memsys = ctx.node.memsys
+    if not memsys._fast_read:
+        return False
     wb = memsys.write_buffer
     pending = wb._pending            # flush_retired trims it in place
     wb_flush = wb.flush_retired
@@ -155,9 +180,12 @@ def _local_copy_fast(ctx, dst_offset: int, src_offset: int,
             wb._last_retire = retire
             pending.append(PendingWrite(line, start, retire,
                                         {a - (a % wbytes): value}))
+            if len(pending) == 1:
+                wb.mark_dirty()
             clock += issue_cycles + stall
         clock += loop_it
     ctx.clock = clock
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -170,102 +198,19 @@ def bulk_read_uncached(sc, dst_offset: int, src: GlobalPtr,
     sc._setup_annex(src.pe)
     nwords = _words(nbytes)
     ctx = sc.ctx
-    if USE_BATCHED_BULK and ctx.node.memsys._fast_read:
-        _bulk_read_uncached_fast(ctx, src.pe, src.addr, dst_offset, nwords)
-        return
+    if _batched(ctx):
+        plan = ctx.node.remote.plan_uncached(src.pe, src.addr, nwords)
+        if plan is not None:
+            gaps = plan.cycles
+            gaps += ctx.node.alpha.loop_iteration()
+            if _stream_reads(ctx, ctx.clock, dst_offset, plan,
+                             BlockingSource(gaps)):
+                return
     for i in range(nwords):
         cycles, value = ctx.node.remote.uncached_read(
             ctx.clock, src.pe, src.addr + i * WORD_BYTES)
         ctx.charge(cycles + ctx.node.alpha.loop_iteration())
         ctx.local_write(dst_offset + i * WORD_BYTES, value)
-
-
-def _bulk_read_uncached_fast(ctx, pe: int, src_addr: int, dst_offset: int,
-                             nwords: int) -> None:
-    """The uncached-read loop with the remote unit and the local store
-    pipeline inlined — the same target-DRAM transitions, clock
-    additions, and write-buffer schedule in the same order as the
-    reference loop."""
-    node = ctx.node
-    unit = node.remote
-    peer = unit._peer(pe)
-    t_dram = peer.dram
-    t_il = t_dram._interleave
-    t_banks = t_dram._banks
-    t_page = t_dram._page_bytes
-    t_access = t_dram._access_cycles
-    t_open = t_dram._open_row
-    t_get = peer.node.memsys.memory.word_get
-    r_off_page = unit.params.remote_off_page_cycles
-    t_same_bank = peer.same_bank
-    # uncached_read charges ``overhead + 2*flight + mem`` left to
-    # right, so the first two terms fold into one prefix constant.
-    base = unit.params.read_overhead_cycles + 2 * peer.flight
-    memsys = node.memsys
-    wb = memsys.write_buffer
-    pending = wb._pending            # flush_retired trims it in place
-    wb_flush = wb.flush_retired
-    wb_push = wb.push
-    issue_cycles = wb._issue_cycles
-    merging = wb._merging
-    capacity = wb._capacity
-    wline = wb.line_bytes
-    dram_access = memsys.dram.access
-    mask = LOCAL_ADDR_MASK
-    wbytes = WORD_BYTES
-    loop_it = node.alpha.loop_iteration()
-    clock = ctx.clock
-    for i in range(nwords):
-        # --- remote.uncached_read, flattened (access_with inlined on
-        # the target DRAM) ---
-        local = (src_addr + i * wbytes) & mask
-        unit.reads += 1
-        block = local // t_il
-        bank = block % t_banks
-        row = ((block // t_banks) * t_il + local % t_il) // t_page
-        cyc = t_access
-        t_dram.accesses += 1
-        if t_open[bank] != row:
-            t_dram.row_misses += 1
-            cyc += r_off_page
-            if bank == t_dram._last_bank:
-                t_dram.same_bank_conflicts += 1
-                cyc += t_same_bank
-            t_open[bank] = row
-        t_dram._last_bank = bank
-        value = t_get(local - (local % wbytes), 0)
-        clock += (base + cyc) + loop_it
-        # --- local_write: memsys.write_cycles, flattened ---
-        a = dst_offset + i * wbytes
-        line = a - (a % wline)
-        matched = False
-        if merging:
-            for entry in pending:
-                if entry.line_addr == line:
-                    matched = True
-                    break
-        if matched:
-            clock += wb_push(clock, a, value, 0.0)
-        else:
-            drain = dram_access(line & mask)
-            if pending and pending[0].retire_time <= clock:
-                wb_flush(clock)
-            stall = 0.0
-            if len(pending) >= capacity:
-                stall = pending[0].retire_time - clock
-                if stall < 0.0:
-                    stall = 0.0
-                wb_flush(clock + stall)
-            start = clock + stall
-            retire = wb._last_retire
-            if start > retire:
-                retire = start
-            retire += drain / capacity
-            wb._last_retire = retire
-            pending.append(PendingWrite(line, start, retire,
-                                        {a - (a % wbytes): value}))
-            clock += issue_cycles + stall
-    ctx.clock = clock
 
 
 def bulk_read_cached(sc, dst_offset: int, src: GlobalPtr,
@@ -280,17 +225,44 @@ def bulk_read_cached(sc, dst_offset: int, src: GlobalPtr,
     batch = nbytes >= sc.plan.batch_flush_threshold
     line_words = sc.ctx.node.params.node.l1.line_bytes // WORD_BYTES
     unit = sc.ctx.node.remote
-    for i in range(_words(nbytes)):
-        offset = src.addr + i * WORD_BYTES
-        full = sc._full_addr(index, offset)
-        cycles, value = unit.cached_read(sc.ctx.clock, src.pe, offset, full)
-        sc.ctx.charge(cycles + sc.ctx.node.alpha.loop_iteration())
-        sc.ctx.local_write(dst_offset + i * WORD_BYTES, value)
-        line_done = (i + 1) % line_words == 0 or i + 1 == _words(nbytes)
-        if line_done and not batch:
-            sc.ctx.charge(unit.invalidate_cached_line(full))
+    nwords = _words(nbytes)
+    ctx = sc.ctx
+    if not (_batched(ctx) and _bulk_read_cached_batched(
+            sc, dst_offset, src, nwords, index, None if batch
+            else line_words)):
+        for i in range(nwords):
+            offset = src.addr + i * WORD_BYTES
+            full = sc._full_addr(index, offset)
+            cycles, value = unit.cached_read(ctx.clock, src.pe, offset, full)
+            ctx.charge(cycles + ctx.node.alpha.loop_iteration())
+            ctx.local_write(dst_offset + i * WORD_BYTES, value)
+            line_done = (i + 1) % line_words == 0 or i + 1 == nwords
+            if line_done and not batch:
+                ctx.charge(unit.invalidate_cached_line(full))
     if batch:
-        sc.ctx.charge(unit.flush_all_cached())
+        ctx.charge(unit.flush_all_cached())
+
+
+def _bulk_read_cached_batched(sc, dst_offset: int, src: GlobalPtr,
+                              nwords: int, index: int,
+                              flush_every: int | None) -> bool:
+    """The cached-read loop as one planned read and one store stream:
+    each line flush is charged before the next word's read."""
+    ctx = sc.ctx
+    planned = ctx.node.remote.plan_cached(
+        src.pe, src.addr, sc._full_addr(index, src.addr), nwords,
+        flush_every)
+    if planned is None:
+        return False
+    plan, tail = planned
+    gaps = plan.cycles
+    gaps += ctx.node.alpha.loop_iteration()
+    if not _stream_reads(ctx, ctx.clock, dst_offset, plan,
+                         BlockingSource(gaps)):
+        return False
+    if tail:
+        ctx.charge(tail)
+    return True
 
 
 def bulk_read_prefetch(sc, dst_offset: int, src: GlobalPtr,
@@ -301,26 +273,34 @@ def bulk_read_prefetch(sc, dst_offset: int, src: GlobalPtr,
     for the next issue, so round trips stay overlapped throughout.
     """
     sc._setup_annex(src.pe)
-    pf = sc.ctx.node.prefetch
+    ctx = sc.ctx
+    pf = ctx.node.prefetch
     nwords = _words(nbytes)
+    if _batched(ctx):
+        planned = pf.plan_read(ctx.clock, src.pe, src.addr, nwords,
+                               ctx.node.alpha.loop_iteration())
+        if planned is not None:
+            clock, source, plan = planned
+            if _stream_reads(ctx, clock, dst_offset, plan, source):
+                return
     issued = 0
     popped = 0
     window = min(pf.depth - pf.outstanding(), nwords)
     while issued < window:
-        sc.ctx.charge(pf.issue(sc.ctx.clock, src.pe,
-                               src.addr + issued * WORD_BYTES))
+        ctx.charge(pf.issue(ctx.clock, src.pe,
+                            src.addr + issued * WORD_BYTES))
         issued += 1
     if pf.needs_barrier_before_pop():
-        sc.ctx.memory_barrier()
+        ctx.memory_barrier()
     while popped < nwords:
-        cycles, value = pf.pop(sc.ctx.clock)
-        sc.ctx.charge(cycles)
-        sc.ctx.local_write(dst_offset + popped * WORD_BYTES, value)
-        sc.ctx.charge(sc.ctx.node.alpha.loop_iteration())
+        cycles, value = pf.pop(ctx.clock)
+        ctx.charge(cycles)
+        ctx.local_write(dst_offset + popped * WORD_BYTES, value)
+        ctx.charge(ctx.node.alpha.loop_iteration())
         popped += 1
         if issued < nwords:
-            sc.ctx.charge(pf.issue(sc.ctx.clock, src.pe,
-                                   src.addr + issued * WORD_BYTES))
+            ctx.charge(pf.issue(ctx.clock, src.pe,
+                                src.addr + issued * WORD_BYTES))
             issued += 1
 
 
@@ -344,119 +324,46 @@ def bulk_write_stores(sc, dst: GlobalPtr, src_offset: int,
     on the node bus, capping bandwidth near the measured 90 MB/s.
     The routine waits for all acknowledgements before returning.
     """
+    _store_words(sc, dst, src_offset, nbytes)
+    sc.ctx.memory_barrier()
+    sc.ctx.clock = sc.ctx.node.remote.wait_for_acks(sc.ctx.clock)
+
+
+def _store_words(sc, dst: GlobalPtr, src_offset: int, nbytes: int) -> None:
+    """The store loop of :func:`bulk_write_stores` and :func:`bulk_put`:
+    each local word is read and stored remotely, without waiting for
+    the acknowledgements.  Batched, the source reads are planned in one
+    pass and the stores run through one write-buffer stream."""
     index = sc._setup_annex(dst.pe)
     bus = sc.ctx.node.params.shell.remote.bus_interference_cycles
     unit = sc.ctx.node.remote
     nwords = _words(nbytes)
     ctx = sc.ctx
-    if (USE_BATCHED_BULK and ctx.node.memsys._fast_read
+    loop_it = ctx.node.alpha.loop_iteration()
+    if (_batched(ctx) and on_grid(bus) and dst.addr >= 0
             and dst.addr + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK):
-        _store_stream_fast(sc, ctx, unit, dst.pe, dst.addr, src_offset,
-                           nwords, index, bus)
-    else:
-        for i in range(nwords):
-            read_cycles, value = ctx.node.memsys.read(
-                ctx.clock, src_offset + i * WORD_BYTES)
-            ctx.charge(read_cycles)
-            if read_cycles > 2.0:      # source missed the cache
-                ctx.charge(bus)
-            offset = dst.addr + i * WORD_BYTES
-            full = sc._full_addr(index, offset)
-            ctx.charge(unit.store(ctx.clock, dst.pe, offset, value, full))
-            ctx.charge(ctx.node.alpha.loop_iteration())
-    ctx.memory_barrier()
-    ctx.clock = unit.wait_for_acks(ctx.clock)
-
-
-def _store_stream_fast(sc, ctx, unit, pe: int, dst_addr: int,
-                       src_offset: int, nwords: int, index: int,
-                       bus: float) -> None:
-    """The store-stream loop with the local read pipeline and the
-    write-buffer merge inlined.
-
-    Words that merge into an open entry for their line are absorbed
-    here (the same entry/word updates and issue cycles ``push`` would
-    make); the non-merging word of each line still goes through
-    :meth:`RemoteAccessUnit.store`, which builds the retire closure —
-    one cross-module call per cache line instead of per word.  Annex
-    composition is hoisted: ``compose_address`` is ``(index << shift)
-    | offset``, linear in the offset while offsets stay below the
-    segment reach (the caller guarantees it).
-    """
-    node = ctx.node
-    memsys = node.memsys
-    wb = memsys.write_buffer
-    pending = wb._pending            # flush_retired trims it in place
-    wb_flush = wb.flush_retired
-    issue_cycles = wb._issue_cycles
-    merging = wb._merging
-    wline = wb.line_bytes
-    l1 = memsys.l1
-    lb = l1._line_bytes
-    nsets = l1._num_sets
-    tags = l1._tags
-    tags_get = tags.get
-    hit_cycles = memsys.params.l1.hit_cycles
-    dram_access = memsys.dram.access
-    mem_get = memsys.memory.word_get
-    mask = LOCAL_ADDR_MASK
-    wbytes = WORD_BYTES
-    loop_it = node.alpha.loop_iteration()
-    full_base = node.annex.compose_address(index, dst_addr)
-    store = unit.store
-    clock = ctx.clock
+        plan = ctx.node.memsys.plan_reads(src_offset, nwords)
+        if plan is not None:
+            # A source read that missed the cache also pays the bus.
+            gaps = plan.cycles
+            gaps[gaps > 2.0] += bus
+            clock = unit.stream_stores(
+                ctx.clock, dst.pe, dst.addr, sc._full_addr(index, dst.addr),
+                plan.values, BlockingSource(gaps, loop_it, flush=True))
+            if clock is not None:
+                plan.commit()
+                ctx.clock = clock
+                return
     for i in range(nwords):
-        # --- source read: memsys.read, flattened ---
-        a = src_offset + i * wbytes
-        found = False
-        if pending:
-            if pending[0].retire_time <= clock:
-                wb_flush(clock)
-            w = a - (a % wbytes)
-            for entry in reversed(pending):
-                if w in entry.words:
-                    found = True
-                    fv = entry.words[w]
-                    break
-        line = a - (a % lb)
-        cindex = (a // lb) % nsets
-        if tags_get(cindex) == line:
-            l1.hits += 1
-            rc = hit_cycles
-        else:
-            l1.misses += 1
-            tags[cindex] = line
-            rc = dram_access(a & mask)
-        if found:
-            value = fv
-        else:
-            la = a & mask
-            value = mem_get(la - (la % wbytes), 0)
-        clock += rc
-        if rc > 2.0:                   # source missed the cache
-            clock += bus
-        # --- remote store: push's flush-then-merge-scan inlined; the
-        # drain peek the unit would make is pure, so skipping it for
-        # merged words changes nothing ---
-        full = full_base + i * wbytes
-        if pending and pending[0].retire_time <= clock:
-            wb_flush(clock)
-        fline = full - (full % wline)
-        merged = False
-        if merging:
-            for entry in pending:
-                if entry.line_addr == fline:
-                    entry.words[full - (full % wbytes)] = value
-                    merged = True
-                    break
-        if merged:
-            wb.merged_writes += 1
-            unit.stores += 1
-            clock += issue_cycles
-        else:
-            clock += store(clock, pe, dst_addr + i * wbytes, value, full)
-        clock += loop_it
-    ctx.clock = clock
+        read_cycles, value = ctx.node.memsys.read(
+            ctx.clock, src_offset + i * WORD_BYTES)
+        ctx.charge(read_cycles)
+        if read_cycles > 2.0:      # source missed the cache
+            ctx.charge(bus)
+        offset = dst.addr + i * WORD_BYTES
+        full = sc._full_addr(index, offset)
+        ctx.charge(unit.store(ctx.clock, dst.pe, offset, value, full))
+        ctx.charge(loop_it)
 
 
 def bulk_write_blt(sc, dst: GlobalPtr, src_offset: int, nbytes: int,
@@ -594,23 +501,4 @@ def bulk_put(sc, dst: GlobalPtr, src_offset: int, nbytes: int) -> None:
         sc.ctx.charge(initiate)
         sc._pending_blt.append(transfer)
         return
-    index = sc._setup_annex(dst.pe)
-    bus = sc.ctx.node.params.shell.remote.bus_interference_cycles
-    unit = sc.ctx.node.remote
-    nwords = _words(nbytes)
-    ctx = sc.ctx
-    if (USE_BATCHED_BULK and ctx.node.memsys._fast_read
-            and dst.addr + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK):
-        _store_stream_fast(sc, ctx, unit, dst.pe, dst.addr, src_offset,
-                           nwords, index, bus)
-        return
-    for i in range(nwords):
-        read_cycles, value = ctx.node.memsys.read(
-            ctx.clock, src_offset + i * WORD_BYTES)
-        ctx.charge(read_cycles)
-        if read_cycles > 2.0:
-            ctx.charge(bus)
-        offset = dst.addr + i * WORD_BYTES
-        full = sc._full_addr(index, offset)
-        ctx.charge(unit.store(ctx.clock, dst.pe, offset, value, full))
-        ctx.charge(ctx.node.alpha.loop_iteration())
+    _store_words(sc, dst, src_offset, nbytes)

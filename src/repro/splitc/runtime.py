@@ -326,7 +326,6 @@ class SplitC:
         capacity = wb._capacity
         pending = wb._pending
         wb_flush = wb.flush_retired
-        settle_queue = wb.settle_queue
         line_bytes = wb.line_bytes
         wbytes = WORD_BYTES
         mask = LOCAL_ADDR_MASK
@@ -554,8 +553,8 @@ class SplitC:
                         PendingWrite(line, start, retire,
                                      {word: value}, False, on_retire,
                                      retire_meta))
-                    if len(pending) == 1 and settle_queue is not None:
-                        settle_queue.append(wb)
+                    if len(pending) == 1:
+                        wb.mark_dirty()
                     store_cycles += stall
                 clock += store_cycles + put_extra
                 put_cycles += clock - issued_at

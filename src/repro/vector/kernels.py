@@ -40,6 +40,7 @@ import numpy as np
 from repro.vector import UnsupportedStimulus
 
 __all__ = [
+    "chunks",
     "direct_mapped_hit_mask",
     "dram_cost_stream",
     "dram_row_events",
@@ -80,6 +81,20 @@ def sawtooth_addresses(base: int, stride: int, count: int,
     if npasses == 1:
         return one_pass
     return np.tile(one_pass, npasses)
+
+
+def chunks(addrs, size: int = 2048):
+    """Yield ``(start, array)`` pieces of at most ``size`` addresses of
+    ``addrs`` (an int64 array or a ``range``, generated per piece), so
+    a long stream's temporaries stay small.  The warm-state kernels
+    chain exactly across pieces: each piece's end state is the next
+    one's start state."""
+    for start in range(0, len(addrs), size):
+        piece = addrs[start:start + size]
+        if isinstance(piece, range):
+            piece = np.arange(piece.start, piece.stop, piece.step,
+                              dtype=np.int64)
+        yield start, piece
 
 
 def _repeats(keys: np.ndarray, tags: np.ndarray, num_keys: int,

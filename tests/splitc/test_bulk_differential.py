@@ -1,0 +1,109 @@
+"""Seeded differential test: batched bulk transfers vs the word loops.
+
+Each seed runs a random sequence of every word-loop mechanism
+(uncached, cached and prefetch reads, bulk_get, stores, puts, local
+copies) with warm-up in between: local stores that leave entries in the
+write buffer (some over the next transfer's source), single cached reads
+that leave stale line snapshots, remote stores that make them stale,
+charges that let entries retire unflushed, and an occasional sync.
+Transfers start off line boundaries and many cross a 16 KB DRAM page.
+The sequence runs once batched and once with ``USE_BATCHED_BULK`` off;
+the full machine fingerprint must match after every step.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.shell.annex import ReadMode
+from repro.splitc import bulk
+from repro.splitc.gptr import GlobalPtr
+from tests.test_fastpath_equivalence import (
+    _fresh_sc,
+    _machine_fingerprint,
+    _reference_paths,
+)
+
+PAGE = 16 * 1024
+SEEDS = range(40)
+
+
+def _transfer(rng):
+    """A word-aligned (line-unaligned) range, often crossing a page."""
+    nwords = rng.choice([1, 2, 3, 5, 7, 17, 40, 130, 300])
+    if rng.random() < 0.6:
+        start = rng.randrange(1, 4) * PAGE - 8 * rng.randrange(1, nwords + 2)
+    else:
+        start = 8 * rng.randrange(0, 6000)
+    return start, 8 * nwords
+
+
+def _script(seed):
+    rng = random.Random(seed)
+    steps = []
+    for _ in range(rng.randrange(4, 9)):
+        kind = rng.choice(["uncached", "cached", "prefetch", "get", "stores",
+                           "put", "local_copy", "warm_store", "warm_cached",
+                           "remote_store", "charge", "sync"])
+        src, nbytes = _transfer(rng)
+        dst, _ = _transfer(rng)
+        steps.append((kind, src, dst, nbytes, rng.choice([0.25, 3.0, 40.0,
+                                                          500.0])))
+    return steps
+
+
+def _run_step(sc, step):
+    kind, src, dst, nbytes, charge = step
+    ctx = sc.ctx
+    if kind == "uncached":
+        bulk.bulk_read_uncached(sc, dst, GlobalPtr(1, src), nbytes)
+    elif kind == "cached":
+        bulk.bulk_read_cached(sc, dst, GlobalPtr(1, src), nbytes)
+    elif kind == "prefetch":
+        bulk.bulk_read_prefetch(sc, dst, GlobalPtr(1, src), nbytes)
+    elif kind == "get":
+        sc.bulk_get(dst, GlobalPtr(1, src), nbytes)
+    elif kind == "stores":
+        bulk.bulk_write_stores(sc, GlobalPtr(1, dst), src, nbytes)
+    elif kind == "put":
+        sc.bulk_put(GlobalPtr(1, dst), src, nbytes)
+    elif kind == "local_copy":
+        bulk._local_copy(sc, dst, src, nbytes)
+    elif kind == "warm_store":
+        for i in range(0, min(nbytes, 64), 8):
+            ctx.local_write(src + i, float(src + i))
+    elif kind == "warm_cached":
+        index = sc._setup_annex(1, ReadMode.CACHED)
+        cycles, _value = ctx.node.remote.cached_read(
+            ctx.clock, 1, src, sc._full_addr(index, src))
+        ctx.charge(cycles)
+    elif kind == "remote_store":
+        sc.put(GlobalPtr(1, src), -1.5)
+    elif kind == "charge":
+        ctx.charge(charge)
+    else:
+        sc.sync()
+
+
+def _trajectory(seed):
+    machine, sc = _fresh_sc()
+    for pe in range(machine.num_nodes):
+        memory = machine.node(pe).memsys.memory
+        rng = random.Random(seed * 7 + pe)
+        for _ in range(300):
+            memory.store(8 * rng.randrange(0, 8000), rng.random())
+    out = []
+    for step in _script(seed):
+        _run_step(sc, step)
+        out.append(_machine_fingerprint(machine, sc))
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_batched_bulk_matches_word_loops(seed):
+    fast = _trajectory(seed)
+    with _reference_paths():
+        ref = _trajectory(seed)
+    assert fast == ref

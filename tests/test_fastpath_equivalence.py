@@ -5,7 +5,8 @@ hatch back to the reference per-access implementation:
 
 * probe harness: ``sweep_fn=None`` / ``memo_key=None`` force the
   per-access loop and disable the point memo;
-* ``repro.splitc.bulk.USE_BATCHED_BULK`` — inlined bulk word loops;
+* ``repro.splitc.bulk.USE_BATCHED_BULK`` — the bulk transfers' planned
+  reads and batched write-buffer stream (``WriteBuffer.stream``);
 * ``repro.shell.blt.USE_BATCHED_COPY`` — range-op BLT data movement;
 * ``repro.apps.em3d.kernels.USE_FAST_COMPUTE`` — the batched EM3D
   compute phase (``MemorySystem.plan_block``).
@@ -133,49 +134,99 @@ def _fresh_sc():
 
 
 def _machine_fingerprint(machine, sc):
-    """Every observable the word loops touch: clocks, counters, and the
-    raw memory words of both nodes."""
-    out = [sc.ctx.clock]
+    """Every observable the word loops touch: clocks, counters, unit
+    state, in-flight acknowledgements, pending write-buffer entries and
+    the raw memory words of every node."""
+    out = [sc.ctx.clock, [wb.owner_pe for wb in machine._dirty_buffers]]
     for pe in range(machine.num_nodes):
         node = machine.node(pe)
         ms = node.memsys
-        out.append((pe, ms.l1.hits, ms.l1.misses,
+        wb = ms.write_buffer
+        remote = node.remote
+        out.append((pe, ms.l1.hits, ms.l1.misses, sorted(ms.l1._tags.items()),
                     ms.dram.accesses, ms.dram.row_misses,
-                    ms.dram.same_bank_conflicts,
-                    ms.write_buffer.merged_writes,
-                    ms.write_buffer.drained_entries,
-                    node.remote.reads, node.remote.stores,
-                    sorted(ms.memory.items())))
+                    ms.dram.same_bank_conflicts, list(ms.dram._open_row),
+                    ms.dram._last_bank,
+                    wb.merged_writes, wb.drained_entries, wb._last_retire,
+                    [(e.line_addr, e.enqueue_time, e.retire_time,
+                      list(e.words.items()), e.apply_words,
+                      e.on_retire is not None, e.meta and e.meta[0])
+                     for e in wb._pending],
+                    remote.reads, remote.cached_reads, remote.stores,
+                    [(a.drain_time, a.ack_time, a.nbytes)
+                     for a in remote._acks],
+                    sorted(remote._line_snapshots.items()),
+                    node.prefetch.issues, node.prefetch.pops,
+                    node.prefetch.outstanding(),
+                    node.inbound_busy_until, list(node._arrivals),
+                    sorted((a, type(v).__name__, v)
+                           for a, v in ms.memory.items())))
     return out
 
 
-@pytest.mark.parametrize("op", ["write_stores", "read_uncached",
-                                "local_copy", "put"])
-def test_bulk_word_loops_state_identical(op):
+def _seed_memories(machine):
+    for pe in range(machine.num_nodes):
+        memory = machine.node(pe).memsys.memory
+        for i in range(64):
+            memory.store(i * WORD_BYTES, float(i + 100 * pe))
+
+
+#: op, source, destination, bytes.  The first four are line-aligned;
+#: the store cases with unaligned ends once drained before peeking.
+BULK_CASES = {
+    "write_stores": ("stores", 0x0, 0x6000, 512),
+    "read_uncached": ("uncached", 0x0, 0x6000, 512),
+    "local_copy": ("local_copy", 0x0, 0x6000, 512),
+    "put": ("put", 0x0, 0x6000, 512),
+    "stores_unaligned": ("stores", 94648, 44320, 32),
+    "put_unaligned": ("put", 105440, 32760, 64),
+    "read_cached": ("cached", 0x8, 0x6010, 512),
+    "read_cached_batch": ("cached", 0x3fe8, 0x6000, 9 * KB),
+    "read_prefetch": ("prefetch", 0x18, 0x6008, 512),
+    "get_page_crossing": ("get", 0x3f00, 0x6000, 2 * KB),
+}
+
+
+@pytest.mark.parametrize("case", list(BULK_CASES))
+def test_bulk_word_loops_state_identical(case):
+    op, src, dst, nbytes = BULK_CASES[case]
+
     def drive(sc):
-        if op == "write_stores":
-            bulk.bulk_write_stores(sc, GlobalPtr(1, 0x6000), 0x0, 512)
-        elif op == "read_uncached":
-            bulk.bulk_read_uncached(sc, 0x6000, GlobalPtr(1, 0x0), 512)
+        if op == "stores":
+            bulk.bulk_write_stores(sc, GlobalPtr(1, dst), src, nbytes)
+        elif op == "uncached":
+            bulk.bulk_read_uncached(sc, dst, GlobalPtr(1, src), nbytes)
+        elif op == "cached":
+            bulk.bulk_read_cached(sc, dst, GlobalPtr(1, src), nbytes)
+        elif op == "prefetch":
+            bulk.bulk_read_prefetch(sc, dst, GlobalPtr(1, src), nbytes)
         elif op == "local_copy":
-            bulk._local_copy(sc, 0x6000, 0x0, 512)
-        else:
-            sc.bulk_put(GlobalPtr(1, 0x6000), 0x0, 512)
+            bulk._local_copy(sc, dst, src, nbytes)
+        elif op == "get":
+            sc.bulk_get(dst, GlobalPtr(1, src), nbytes)
             sc.sync()
-        sc.ctx.memory_barrier()
-        sc.ctx.clock = sc.ctx.node.remote.wait_for_acks(sc.ctx.clock)
+        else:
+            sc.bulk_put(GlobalPtr(1, dst), src, nbytes)
+            sc.sync()
 
     m_fast, sc_fast = _fresh_sc()
-    for i in range(64):
-        sc_fast.ctx.node.memsys.memory.store(i * WORD_BYTES, float(i))
+    _seed_memories(m_fast)
     drive(sc_fast)
+    fast = _machine_fingerprint(m_fast, sc_fast)
+    sc_fast.ctx.memory_barrier()
+    sc_fast.ctx.clock = sc_fast.ctx.node.remote.wait_for_acks(
+        sc_fast.ctx.clock)
 
     with _reference_paths():
         m_ref, sc_ref = _fresh_sc()
-        for i in range(64):
-            sc_ref.ctx.node.memsys.memory.store(i * WORD_BYTES, float(i))
+        _seed_memories(m_ref)
         drive(sc_ref)
+        ref = _machine_fingerprint(m_ref, sc_ref)
+        sc_ref.ctx.memory_barrier()
+        sc_ref.ctx.clock = sc_ref.ctx.node.remote.wait_for_acks(
+            sc_ref.ctx.clock)
 
+    assert fast == ref
     assert (_machine_fingerprint(m_fast, sc_fast)
             == _machine_fingerprint(m_ref, sc_ref))
 
