@@ -31,6 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro import tiers
 from repro.apps.em3d.graph import Em3dGraph, initial_values
 from repro.params import CYCLE_NS, LINE_BYTES, WORD_BYTES
 from repro.splitc.gptr import ADDR_MASK as GPTR_ADDR_MASK
@@ -38,11 +41,6 @@ from repro.splitc.gptr import PE_SHIFT as GPTR_PE_SHIFT
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.runtime import run_splitc
 from repro.trace import tracer as _trace
-
-try:  # numpy is optional: without it the compute phase runs per access.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via numpy-less images
-    np = None
 
 __all__ = ["Em3dResult", "Layout", "VERSIONS", "run_em3d"]
 
@@ -170,14 +168,6 @@ def _setup(machine, graph: Em3dGraph, version: str,
     return layout
 
 
-#: Escape hatch for the golden-equivalence tests: when False the
-#: compute phase always runs the reference per-access loop.
-USE_FAST_COMPUTE = True
-
-#: Escape hatch for the ghost-fill fast paths below: when False the
-#: fill loops always go through the generic Split-C runtime calls.
-USE_FAST_FILL = True
-
 #: Edges per batched block of the compute phase: bounds the numpy
 #: temporaries to a few MB even at a million nodes per processor.
 _BLOCK_EDGES = 1 << 16
@@ -193,14 +183,15 @@ def compute_rows(ctx, n: int, degree: int, adj_base: int, out_base: int,
 
     Blocks of rows run through :meth:`MemorySystem.plan_block`; a block
     the plan declines runs the reference loop, as does every block
-    when ``USE_FAST_COMPUTE`` is False.
+    under :func:`repro.tiers.reference`.
     """
+    fast = tiers.fast()
     step = max(1, _BLOCK_EDGES // degree)
     for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
-        if not (USE_FAST_COMPUTE and np is not None
-                and _planned_rows(ctx, r0, r1, degree, adj_base, out_base,
-                                  per_edge_overhead, simple_sc)):
+        if not (fast and _planned_rows(ctx, r0, r1, degree, adj_base,
+                                       out_base, per_edge_overhead,
+                                       simple_sc)):
             _reference_rows(ctx, r0, r1, degree, adj_base, out_base,
                             per_edge_overhead, simple_sc)
 
@@ -336,7 +327,7 @@ def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
     local_write = ctx.local_write
     start_clock = ctx.clock if _trace.TRACE_ENABLED else 0.0
     filled = 0
-    fast = (USE_FAST_FILL and not use_get and sc.trace is None
+    fast = (tiers.fast() and not use_get and sc.trace is None
             and sc.plan.read_mechanism != "cached")
     if fast:
         annex = ctx.node.annex
@@ -395,7 +386,7 @@ def _ghost_fill_puts(sc, graph, layout, direction: str):
     me = sc.my_pe
     start_clock = ctx.clock if _trace.TRACE_ENABLED else 0.0
     pushed = 0
-    fast = USE_FAST_FILL and sc.trace is None
+    fast = tiers.fast() and sc.trace is None
     # The plan's sender lists invert the needed[][] map: each producer
     # iterates only its own consumers instead of scanning every
     # processor, and a consumer's ghost slots for this source are

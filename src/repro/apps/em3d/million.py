@@ -14,8 +14,8 @@ flat typed segments:
   mod n`` — a fixed permutation-ish scatter with no Python-side
   adjacency structure at all;
 * weights and initial values are integer-hash functions of the index,
-  mapped into [-1, 1) by an exact power-of-two division, so the scalar
-  and numpy fill paths produce bit-identical float64 values;
+  mapped into [-1, 1) by an exact power-of-two division (numpy int64
+  products stay far below 2**63), so every float64 value is exact;
 * every edge is local (the paper's all-local compute baseline): the
   point measures memory capacity and the compute pipeline, not the
   interconnect, which the ordinary weak-scaling curve already covers.
@@ -37,14 +37,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.apps.em3d.kernels import VALUE_BYTES, compute_rows
 from repro.params import CYCLE_NS, WORD_BYTES
 from repro.splitc.runtime import run_splitc
-
-try:  # numpy only accelerates the untimed fill.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO-less images
-    _np = None
 
 __all__ = ["Em3dMillionResult", "run_em3d_million"]
 
@@ -76,39 +73,22 @@ class Em3dMillionResult:
     e_checksum: float
 
 
-def _hash_unit(i: int, k: int) -> float:
-    """Edge-weight hash in [-1, 1): exact in scalar and numpy int64
-    (products stay far below 2**63; the 2**-24 scale is a power of
-    two, so the division is exact in float64)."""
-    return ((i * _HASH_A + k * _HASH_B) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0
-
-
 def _fill_values(seg, n: int, mult: int, off: int) -> None:
     """Initial field values: ``((i*mult + off) % 2**24)`` scaled."""
-    if _np is not None:
-        i = _np.arange(n, dtype=_np.int64)
-        seg.fill(0, ((i * mult + off) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0)
-    else:
-        seg.fill(0, [((i * mult + off) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0
-                     for i in range(n)])
+    i = np.arange(n, dtype=np.int64)
+    seg.fill(0, ((i * mult + off) % _HASH_MOD) / _HASH_MOD * 2.0 - 1.0)
 
 
 def _fill_adjacency(refs, weights, n: int, degree: int,
                     vals_base: int) -> None:
     """Neighbor references and weights for one direction."""
-    if _np is not None:
-        edge = _np.arange(n * degree, dtype=_np.int64)
-        i = edge // degree
-        k = edge % degree
-        idx = (i * _IDX_A + k * _IDX_B) % n
-        refs.fill(0, vals_base + idx * VALUE_BYTES)
-        w = (i * _HASH_A + k * _HASH_B) % _HASH_MOD
-        weights.fill(0, w / float(_HASH_MOD) * 2.0 - 1.0)
-    else:
-        pairs = [(i, k) for i in range(n) for k in range(degree)]
-        refs.fill(0, [vals_base + (i * _IDX_A + k * _IDX_B) % n * VALUE_BYTES
-                      for i, k in pairs])
-        weights.fill(0, [_hash_unit(i, k) for i, k in pairs])
+    edge = np.arange(n * degree, dtype=np.int64)
+    i = edge // degree
+    k = edge % degree
+    idx = (i * _IDX_A + k * _IDX_B) % n
+    refs.fill(0, vals_base + idx * VALUE_BYTES)
+    w = (i * _HASH_A + k * _HASH_B) % _HASH_MOD
+    weights.fill(0, w / float(_HASH_MOD) * 2.0 - 1.0)
 
 
 def _build_image(mem, layout: dict, n: int, degree: int) -> list:
@@ -190,9 +170,7 @@ def run_em3d_million(machine, nodes_per_pe: int, degree: int = 2,
     edges = steps * 2 * n * degree
     cycles_per_edge = results[0] / edges
     ev = machine.node(0).memsys.memory.segment_at(layout["e_vals"])
-    view = ev.np_view()
-    checksum = (float(view[:n].sum()) if view is not None
-                else sum(ev.data[0:n]))
+    checksum = float(ev.np_view()[:n].sum())
     return Em3dMillionResult(
         nodes_per_pe=n, degree=degree, num_pes=machine.num_nodes,
         replay=replay, steps=steps,

@@ -34,16 +34,16 @@ __all__ = ["build_parser", "main"]
 
 
 def _cmd_experiments(args) -> int:
-    if args.no_vector:
-        # Probes consult REPRO_VECTOR when they build each sweep, and
-        # sweep-engine workers inherit the environment.
-        import os
-        os.environ["REPRO_VECTOR"] = "0"
-    if args.no_cohort:
-        # run_spmd consults REPRO_COHORT per run; forcing it off pins
-        # every experiment to the event-at-a-time reference scheduler.
-        import os
-        os.environ["REPRO_COHORT"] = "0"
+    if args.reference:
+        # The environment switch reaches sweep-engine workers too, and
+        # the result cache is bypassed while it is on.
+        from repro import tiers
+        with tiers.reference():
+            return _write_experiments(args)
+    return _write_experiments(args)
+
+
+def _write_experiments(args) -> int:
     use_cache = False if args.no_cache else None
     if args.json:
         import json
@@ -302,13 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-j", "--jobs", type=int, default=None,
                    help="experiment fan-out processes (default: "
                         "$REPRO_JOBS, else 1 = serial; 0 = all cores)")
-    p.add_argument("--no-vector", action="store_true",
-                   help="disable the vectorized compute tier "
-                        "(repro.vector); equivalent to REPRO_VECTOR=0")
-    p.add_argument("--no-cohort", action="store_true",
-                   help="disable the cohort-batched scheduler and its "
-                        "flattened put kernels; equivalent to "
-                        "REPRO_COHORT=0")
+    p.add_argument("--reference", action="store_true",
+                   help="run every layer's reference model (no fast "
+                        "path, no result cache); equivalent to "
+                        "REPRO_FAST=0")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore the persistent result cache and "
                         "recompute every experiment")

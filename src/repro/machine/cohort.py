@@ -1,4 +1,4 @@
-"""Cohort-batched SPMD scheduling (the ``REPRO_COHORT`` tier).
+"""Cohort-batched SPMD scheduling (a fast path of :mod:`repro.tiers`).
 
 The reference :class:`~repro.simkernel.scheduler.SpmdScheduler` polls
 *every* blocked condition between every advance.  That is O(blocked)
@@ -44,15 +44,16 @@ sequence as the reference scheduler: the tier is bit-identical by
 construction, and ``tests/test_cohort_equivalence.py`` holds it to
 that.
 
-Set ``REPRO_COHORT=0`` to fall back to the event-at-a-time scheduler;
-single-processor machines always take the serial reference path.
+:func:`repro.tiers.reference` falls back to the event-at-a-time
+scheduler; single-processor machines always take the serial reference
+path.
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 
+from repro import tiers
 from repro.simkernel.conditions import (
     BarrierCondition,
     BytesArrivedCondition,
@@ -62,8 +63,6 @@ from repro.simkernel.scheduler import DeadlockError, SpmdScheduler, _Thread
 from repro.trace import tracer as _trace
 
 __all__ = ["CohortScheduler", "cohort_enabled"]
-
-_FALSE_VALUES = ("0", "false", "no", "off")
 
 #: Lazily-resolved AmMessageCondition class.  The import is deferred
 #: because ``repro.splitc`` (the package that defines it) imports this
@@ -80,13 +79,9 @@ def _am_condition_type() -> type:
 
 
 def cohort_enabled() -> bool:
-    """Whether the cohort tier is switched on (``REPRO_COHORT``).
-
-    Defaults to on; set ``REPRO_COHORT=0`` (or ``false``/``no``/``off``)
-    to force the event-at-a-time reference scheduler everywhere.
-    """
-    return os.environ.get(
-        "REPRO_COHORT", "1").strip().lower() not in _FALSE_VALUES
+    """Whether ``run_spmd`` uses the cohort scheduler:
+    :func:`repro.tiers.fast`."""
+    return tiers.fast()
 
 
 class CohortScheduler(SpmdScheduler):

@@ -20,22 +20,26 @@ array.
 
 Two fast paths keep the sweeps cheap without changing a single number:
 
-* ``sweep_fn`` — a model-supplied batched runner for one (size, stride)
-  point (e.g. :meth:`repro.node.memsys.MemorySystem.read_sweep`) that
-  is exactly equivalent to the per-access loop; the golden-equivalence
-  suite (``tests/test_fastpath_equivalence.py``) asserts identity.
+* ``sweep_fn`` — a batched runner for one (size, stride) point (the
+  vectorized tier, :func:`repro.vector.stride_sweep_fn`) that is
+  exactly equivalent to the per-access loop; the golden-equivalence
+  suites (``tests/test_fastpath_equivalence.py``,
+  ``tests/test_vector_equivalence.py``) assert identity.
 * ``memo_key`` — when the probe cold-starts state before every point
   (``reset_fn``), each point is a pure function of (machine parameters,
   address list, pass counts); identical points are computed once per
   process and replayed.  Deduplication fires both *within* a probe
   (capped address lists collapse across array sizes) and *across*
-  benchmarks re-running the same deterministic sweep.
+  benchmarks re-running the same deterministic sweep.  The memo keys
+  on :func:`repro.tiers.fast`, so a reference run never replays a
+  point the fast paths computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import tiers
 from repro.params import CYCLE_NS
 from repro.vector import UnsupportedStimulus
 
@@ -227,10 +231,11 @@ def run_stride_probe(access_fn, sizes=None, strides_fn=None, *,
                                max_accesses=max_accesses,
                                min_footprint=min_footprint)
     memo_enabled = memo_key is not None and reset_fn is not None
+    fast = tiers.fast()
     curves = LatencyCurves()
     for spec in specs:
         if memo_enabled:
-            key = (memo_key, base_addr, spec.stride, spec.naccesses,
+            key = (memo_key, fast, base_addr, spec.stride, spec.naccesses,
                    warmup_passes, measure_passes)
             cached = _POINT_MEMO.get(key)
             if cached is not None:

@@ -56,16 +56,14 @@ def local_read_probe(memsys: MemorySystem, **kwargs) -> LatencyCurves:
     """Figure 1: average read latency vs (array size, stride).
 
     Runs each point through the vectorized tier
-    (:func:`repro.vector.stride_sweep_fn`) when it is enabled, falling
-    back to the memory system's batched
-    :meth:`~repro.node.memsys.MemorySystem.read_sweep` — both exactly
-    equivalent to the per-access loop — and memoizes points by the
-    machine's parameters; pass ``sweep_fn=None`` / ``memo_key=None`` to
-    force the reference per-access path.
+    (:func:`repro.vector.stride_sweep_fn`, exactly equivalent to the
+    per-access loop) when it is on and claims the point, else the
+    reference loop, and memoizes points by the machine's parameters;
+    pass ``sweep_fn=None`` / ``memo_key=None`` to force the reference
+    per-access path.
     """
     kwargs.setdefault("sweep_fn", _vector.stride_sweep_fn(
-        "local_read", node_params=memsys.params,
-        fallback=memsys.read_sweep))
+        "local_read", node_params=memsys.params))
     kwargs.setdefault("memo_key", ("local_read", memsys.params))
     return run_stride_probe(
         memsys.read_cycles, reset_fn=memsys.reset, **kwargs)
@@ -74,8 +72,7 @@ def local_read_probe(memsys: MemorySystem, **kwargs) -> LatencyCurves:
 def local_write_probe(memsys: MemorySystem, **kwargs) -> LatencyCurves:
     """Figure 2: average write latency vs (array size, stride)."""
     kwargs.setdefault("sweep_fn", _vector.stride_sweep_fn(
-        "local_write", node_params=memsys.params,
-        fallback=memsys.write_sweep))
+        "local_write", node_params=memsys.params))
     kwargs.setdefault("memo_key", ("local_write", memsys.params))
     return run_stride_probe(
         memsys.write_cycles, reset_fn=memsys.reset, **kwargs)

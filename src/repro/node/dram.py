@@ -15,15 +15,12 @@ The stride probes of Figure 1 recover exactly these parameters:
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.node.exact import on_grid
 from repro.params import DramParams
 from repro.trace import tracer as _trace
-
-try:  # numpy is optional: without it plan_access always declines.
-    import numpy as _np
-    from repro.vector import kernels as _vk
-except ImportError:  # pragma: no cover - exercised via numpy-less images
-    _np = _vk = None
+from repro.vector import kernels as _vk
 
 __all__ = ["Dram"]
 
@@ -129,15 +126,15 @@ class Dram:
     def plan_access(self, addrs, off_page_cycles: float,
                     same_bank_cycles: float):
         """:meth:`access_with` over ``addrs`` (an int64 numpy array or a
-        ``range``), batched: returns ``(costs, commit)``, or None when
-        numpy is missing or a cost could leave the exactness grid.
+        ``range``), batched: returns ``(costs, commit)``, or None when a
+        cost could leave the exactness grid.
 
         ``costs`` holds each access's cycles; nothing changes until
         ``commit()`` installs the open rows, last bank and counters the
         per-access loop leaves (:func:`repro.vector.kernels.dram_row_events`,
         run a piece at a time from the current state).
         """
-        if _vk is None or not all(on_grid(x) for x in (
+        if not all(on_grid(x) for x in (
                 self._access_cycles, off_page_cycles, same_bank_cycles)):
             return None
         open_rows = _np.array(self._open_row, dtype=_np.int64)

@@ -14,10 +14,9 @@ Two tiers back the store:
   float64, ``'q'`` for int64, a plain list for arbitrary objects), so
   a million-word field costs ~8 MB instead of a hundred-plus bytes per
   dict entry, and bulk movers can shift whole slices without a Python
-  call per word.  When numpy is importable, :meth:`Segment.np_view`
-  exposes the same buffer zero-copy as a ``float64``/``int64`` array
-  for vectorized setup and analysis; without numpy everything still
-  works through the ``array.array`` backing.
+  call per word.  :meth:`Segment.np_view` exposes the same buffer
+  zero-copy as a ``float64``/``int64`` numpy array for vectorized
+  setup and analysis.
 * **The sparse dict** — the historical per-word store, retained as the
   fallback for every unsegmented or irregular address.
 
@@ -39,12 +38,9 @@ from bisect import bisect_right
 from itertools import repeat
 from math import gcd
 
-from repro.params import WORD_BYTES
+import numpy as _np
 
-try:  # numpy is optional: it only accelerates bulk views.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via REPRO-less images
-    _np = None
+from repro.params import WORD_BYTES
 
 __all__ = ["Segment", "WordMemory", "WordRun"]
 
@@ -134,7 +130,7 @@ class Segment:
         array of the segment's dtype, or values all of its exact Python
         type), else the per-word :meth:`write` with its overrides."""
         n = len(values)
-        if _np is not None and isinstance(values, _np.ndarray):
+        if isinstance(values, _np.ndarray):
             if self.vtype is not None and values.dtype == _KINDS[self.kind][2]:
                 self.np_view()[i:i + n] = values
                 self.define_range(i, n)
@@ -161,13 +157,13 @@ class Segment:
                 del self.overrides[k]
 
     def np_view(self):
-        """Zero-copy numpy view of the typed buffer (None when numpy
-        is unavailable or the segment holds arbitrary objects).
+        """Zero-copy numpy view of the typed buffer (None when the
+        segment holds arbitrary objects).
 
         Writes through the view bypass the defined-word tracking;
         callers must :meth:`define_range` what they fill.
         """
-        if _np is None or self.vtype is None:
+        if self.vtype is None:
             return None
         return _np.frombuffer(self.data, dtype=_KINDS[self.kind][2])
 
@@ -331,23 +327,6 @@ class WordMemory:
                 return seg.data[i]
         return self._words.get(w, 0)
 
-    def word_get(self, addr: int, default=0):
-        """``dict.get``-shaped accessor for pre-aligned hot loops:
-        exactly ``load`` except unwritten words read ``default``."""
-        w = addr - (addr % WORD_BYTES)
-        if self._seg_lo <= w <= self._seg_hi:
-            hit = self._find(w)
-            if hit is not None:
-                seg, i = hit
-                if not seg.defined[i]:
-                    return default
-                if seg.overrides:
-                    value = seg.overrides.get(i, _MISSING)
-                    if value is not _MISSING:
-                        return value
-                return seg.data[i]
-        return self._words.get(w, default)
-
     def store(self, addr: int, value) -> None:
         """Store ``value`` into the 8-byte word containing ``addr``."""
         w = addr - (addr % WORD_BYTES)
@@ -464,7 +443,7 @@ class WordMemory:
         write-buffer words — replaces the values at its positions.
         Words in override-free segments of ``kind`` are read with one
         fancy index per segment; every other word goes through
-        :meth:`load`.  Requires numpy.
+        :meth:`load`.
         """
         vtype, dtype = _KINDS[kind][1:]
         words = addrs & -WORD_BYTES

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as _np
+
 from repro.node.cache import Cache
 from repro.node.dram import Dram
 from repro.node.exact import CEILING, on_grid
@@ -31,12 +33,7 @@ from repro.params import (
     workstation_node_params,
 )
 from repro.trace import tracer as _trace
-
-try:  # numpy is optional: without it plan_block always declines.
-    import numpy as _np
-    from repro.vector import kernels as _vk
-except ImportError:  # pragma: no cover - exercised via numpy-less images
-    _np = _vk = None
+from repro.vector import kernels as _vk
 
 __all__ = ["BlockPlan", "MemorySystem", "ReadPlan", "t3d_memory_system",
            "workstation_memory_system"]
@@ -267,7 +264,7 @@ class MemorySystem:
         :meth:`gather` beforehand.
 
         Returns None, leaving every unit untouched, outside the envelope
-        where that is exact: numpy, no tracing, a direct-mapped L1, no
+        where that is exact: no tracing, a direct-mapped L1, no
         L2, a never-missing TLB, a power-of-two buffer depth, no store
         that could merge, no loaded word stored in the block, no pending
         synonym of a loaded word, only plain local pending entries, and
@@ -276,7 +273,7 @@ class MemorySystem:
         """
         wb = self.write_buffer
         cap = wb._capacity
-        if (_vk is None or _trace.TRACE_ENABLED or self.l2 is not None
+        if (_trace.TRACE_ENABLED or self.l2 is not None
                 or self.l1._assoc != 1 or not self.tlb._never_misses
                 or cap & (cap - 1)):
             return None
@@ -389,7 +386,7 @@ class MemorySystem:
 
         Each value is the youngest pending write-buffer store to its
         word, else memory: flushing during the stream only moves such a
-        value into memory.  Declines without numpy, while tracing,
+        value into memory.  Declines while tracing,
         outside the direct-mapped, L2-less, never-missing-TLB shape, for
         words beyond the local offset range, and when a pending store
         could be seen differently over time: a local store to a synonym
@@ -397,7 +394,7 @@ class MemorySystem:
         """
         mask = LOCAL_ADDR_MASK
         last = addr + (nwords - 1) * WORD_BYTES
-        if (_vk is None or _trace.TRACE_ENABLED or not self._fast_read
+        if (_trace.TRACE_ENABLED or not self._fast_read
                 or addr < 0 or last > mask):
             return None
         first = addr - addr % WORD_BYTES
@@ -470,264 +467,6 @@ class MemorySystem:
         for words in word_dicts:
             for addr, value in words.items():
                 store(addr & LOCAL_ADDR_MASK, value)
-
-    # ------------------------------------------------------------------
-    # Probe fast paths (exact batched equivalents of per-access loops).
-    # ------------------------------------------------------------------
-
-    def read_sweep(self, base: int, stride: int, count: int,
-                   warmup_passes: int, measure_passes: int):
-        """Run the sawtooth read stimulus; returns ``(total, accesses)``
-        over the measure passes.
-
-        Exactly equivalent — in cost, counters, and final state — to
-        calling :meth:`read_cycles` once per address per pass.  Three
-        exact reductions provide the speedup:
-
-        * **Line followers** — when the stride is smaller than a cache
-          line, every access after the first to a given line is a
-          guaranteed L1 hit (read-allocate filled it, nothing
-          intervenes, and the line's page is resident in the TLB), so
-          those accesses each cost exactly the L1 hit time; their LRU
-          touches are no-ops and their counter bumps apply in bulk.
-        * **Flattened pipeline** — for direct-mapped caches the
-          TLB → L1 → L2 → DRAM chain is inlined into one loop
-          (:meth:`_read_seq_direct`), identical per access.
-        * **Steady-state replay** — a pass that maps the model state to
-          itself will repeat exactly, so once consecutive passes share
-          an end state the remaining passes reuse that pass's total and
-          counter deltas without re-simulating.
-        """
-        line_bytes = self.params.l1.line_bytes
-        if stride >= line_bytes or count <= 0:
-            addrs = range(base, base + count * stride, stride)
-            followers = 0
-        elif line_bytes % stride == 0:
-            # Line leaders (the first access landing on each line) sit
-            # at arithmetic positions: index 0, then the first index
-            # crossing into the next line, then every
-            # ``line_bytes // stride`` indices after that.
-            per = line_bytes // stride
-            i0 = (line_bytes - base % line_bytes + stride - 1) // stride
-            addrs = [base] + [base + i * stride
-                              for i in range(i0, count, per)]
-            followers = count - len(addrs)
-        else:
-            leaders = []
-            last_line = None
-            for addr in range(base, base + count * stride, stride):
-                line = addr - (addr % line_bytes)
-                if line != last_line:
-                    leaders.append(addr)
-                    last_line = line
-            addrs = leaders
-            followers = count - len(leaders)
-        npasses = warmup_passes + measure_passes
-        total = 0.0
-        measured = 0
-        prev_state = None
-        p = 0
-        while p < npasses:
-            before = self._sweep_counters()
-            pass_total = self._read_pass(addrs, followers)
-            if p >= warmup_passes:
-                total += pass_total
-                measured += count
-            p += 1
-            if p >= npasses:
-                break
-            state = self._sweep_state()
-            if state == prev_state:
-                # The last pass left the state exactly where it started,
-                # so every remaining pass replays it verbatim.
-                after = self._sweep_counters()
-                remaining = npasses - p
-                measure_remaining = npasses - max(p, warmup_passes)
-                total += pass_total * measure_remaining
-                measured += count * measure_remaining
-                self._apply_counters(
-                    tuple((a - b) * remaining
-                          for a, b in zip(after, before)))
-                break
-            prev_state = state
-        return total, measured
-
-    def _read_pass(self, addrs, followers: int) -> float:
-        """One probe pass: full reads over ``addrs`` plus the batched
-        guaranteed-hit accounting for ``followers`` line-followers."""
-        l1 = self.l1
-        if l1._assoc == 1 and (self.l2 is None or self.l2._assoc == 1):
-            total = self._read_seq_direct(addrs)
-        else:
-            read_cycles = self.read_cycles
-            total = 0.0
-            for addr in addrs:
-                total += read_cycles(0.0, addr)
-        if followers:
-            total += followers * self.params.l1.hit_cycles
-            l1.hits += followers
-            if not self.tlb._never_misses:
-                self.tlb.hits += followers
-        return total
-
-    def _read_seq_direct(self, addrs) -> float:
-        """Inlined :meth:`read_cycles` over an address sequence, for
-        direct-mapped caches — the identical TLB/L1/L2/DRAM state
-        transitions, counters, and cost, with the per-access call chain
-        flattened into one loop and counters accumulated locally."""
-        tlb = self.tlb
-        l1 = self.l1
-        l2 = self.l2
-        dram = self.dram
-        never = tlb._never_misses
-        page_bytes = tlb._page_bytes
-        tlb_cap = tlb._capacity
-        tlb_miss_cycles = tlb._miss_cycles
-        tlb_entries = tlb._entries
-        lb = l1._line_bytes
-        l1_sets = l1._num_sets
-        l1_tags = l1._tags
-        l1_get = l1_tags.get
-        l1_hit_cycles = self.params.l1.hit_cycles
-        if l2 is not None:
-            l2_lb = l2._line_bytes
-            l2_sets = l2._num_sets
-            l2_tags = l2._tags
-            l2_get = l2_tags.get
-            l2_hit_cycles = self.params.l2.hit_cycles
-        interleave = dram._interleave
-        banks = dram._banks
-        dram_page = dram._page_bytes
-        dram_cycles = dram._access_cycles
-        off_page = dram.params.off_page_cycles
-        same_bank = dram.params.same_bank_cycles
-        open_row = dram._open_row
-        last_bank = dram._last_bank
-        mask = LOCAL_ADDR_MASK
-        tlb_h = tlb_m = l1_h = l1_m = l2_h = l2_m = 0
-        dram_n = dram_rm = dram_cf = 0
-        total = 0.0
-        for addr in addrs:
-            if never:
-                c = 0.0
-            else:
-                page = addr // page_bytes
-                if page in tlb_entries:
-                    tlb_h += 1
-                    del tlb_entries[page]
-                    tlb_entries[page] = None
-                    c = 0.0
-                else:
-                    tlb_m += 1
-                    if len(tlb_entries) >= tlb_cap:
-                        del tlb_entries[next(iter(tlb_entries))]
-                    tlb_entries[page] = None
-                    c = tlb_miss_cycles
-            line = addr - (addr % lb)
-            if l1_get((addr // lb) % l1_sets) == line:
-                l1_h += 1
-                total += c + l1_hit_cycles
-                continue
-            l1_m += 1
-            l1_tags[(addr // lb) % l1_sets] = line
-            if l2 is not None:
-                line2 = addr - (addr % l2_lb)
-                if l2_get((addr // l2_lb) % l2_sets) == line2:
-                    l2_h += 1
-                    total += c + l2_hit_cycles
-                    continue
-                l2_m += 1
-                l2_tags[(addr // l2_lb) % l2_sets] = line2
-            a = addr & mask
-            block = a // interleave
-            bank = block % banks
-            row = ((block // banks) * interleave
-                   + a % interleave) // dram_page
-            cyc = dram_cycles
-            dram_n += 1
-            if open_row[bank] != row:
-                dram_rm += 1
-                cyc += off_page
-                if bank == last_bank:
-                    dram_cf += 1
-                    cyc += same_bank
-                open_row[bank] = row
-            last_bank = bank
-            total += c + cyc
-        dram._last_bank = last_bank
-        tlb.hits += tlb_h
-        tlb.misses += tlb_m
-        l1.hits += l1_h
-        l1.misses += l1_m
-        if l2 is not None:
-            l2.hits += l2_h
-            l2.misses += l2_m
-        dram.accesses += dram_n
-        dram.row_misses += dram_rm
-        dram.same_bank_conflicts += dram_cf
-        return total
-
-    def _sweep_state(self):
-        """Snapshot of everything a read pass's behaviour depends on
-        (cache tags, TLB contents *in LRU order*, DRAM open rows and
-        last bank) — used to detect the steady-state fixed point."""
-        l1 = self.l1
-        s1 = (dict(l1._tags) if l1._assoc == 1
-              else {k: list(v) for k, v in l1._ways.items()})
-        l2 = self.l2
-        if l2 is None:
-            s2 = None
-        else:
-            s2 = (dict(l2._tags) if l2._assoc == 1
-                  else {k: list(v) for k, v in l2._ways.items()})
-        return (s1, s2, list(self.tlb._entries),
-                list(self.dram._open_row), self.dram._last_bank)
-
-    def _sweep_counters(self):
-        l2 = self.l2
-        return (self.tlb.hits, self.tlb.misses,
-                self.l1.hits, self.l1.misses,
-                l2.hits if l2 is not None else 0,
-                l2.misses if l2 is not None else 0,
-                self.dram.accesses, self.dram.row_misses,
-                self.dram.same_bank_conflicts)
-
-    def _apply_counters(self, delta) -> None:
-        self.tlb.hits += delta[0]
-        self.tlb.misses += delta[1]
-        self.l1.hits += delta[2]
-        self.l1.misses += delta[3]
-        if self.l2 is not None:
-            self.l2.hits += delta[4]
-            self.l2.misses += delta[5]
-        self.dram.accesses += delta[6]
-        self.dram.row_misses += delta[7]
-        self.dram.same_bank_conflicts += delta[8]
-
-    def write_sweep(self, base: int, stride: int, count: int,
-                    warmup_passes: int, measure_passes: int):
-        """Run the sawtooth write stimulus; returns ``(total, accesses)``
-        over the measure passes.
-
-        Write timing is stateful through the write buffer (merging and
-        drain scheduling depend on the running clock), so every store
-        is evaluated individually — this is simply the harness loop
-        moved next to the model, with the call chain flattened.
-        """
-        write_cycles = self.write_cycles
-        now = 0.0
-        total = 0.0
-        measured = 0
-        for p in range(warmup_passes + measure_passes):
-            measuring = p >= warmup_passes
-            for addr in range(base, base + count * stride, stride):
-                cycles = write_cycles(now, addr)
-                now += cycles
-                if measuring:
-                    total += cycles
-            if measuring:
-                measured += count
-        return total, measured
 
     # ------------------------------------------------------------------
     # Hooks for the shell (remote access to / through this node).

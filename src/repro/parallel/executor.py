@@ -7,7 +7,9 @@ is bit-identical to the serial one.  Three execution tiers compose:
 
 1. **Cache replay** — with caching on, each task's content digest is
    looked up in the :class:`~repro.parallel.cache.ResultCache` first;
-   hits skip computation entirely.
+   hits skip computation entirely.  The cache holds fast-path results,
+   so it is bypassed under :func:`repro.tiers.reference`, whose runs
+   must actually run the reference model.
 2. **Process pool** — cache misses are sharded across a
    ``ProcessPoolExecutor`` when ``jobs > 1`` (``ProcessPoolExecutor
    .map`` preserves submission order).
@@ -33,6 +35,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 
+from repro import tiers
 from repro.parallel.cache import ResultCache, cache_enabled
 
 __all__ = ["ENV_JOBS", "SweepExecutor", "resolve_jobs", "run_task"]
@@ -131,7 +134,7 @@ class SweepExecutor:
         results = [_UNSET] * len(tasks)
         keys: list[str | None] = [None] * len(tasks)
         pending = []
-        if self.use_cache and self.cache is not None:
+        if self.use_cache and self.cache is not None and tiers.fast():
             for i, task in enumerate(tasks):
                 keys[i] = self.cache.key(type(task).__name__, task.spec())
                 hit, value = self.cache.get(keys[i])

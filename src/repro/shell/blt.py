@@ -16,14 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import tiers
 from repro.params import BltParams, LOCAL_ADDR_MASK, WORD_BYTES
 from repro.trace import tracer as _trace
 
 __all__ = ["BlockTransferEngine", "BltTransfer"]
-
-#: Escape hatch for the golden-equivalence tests: when False the data
-#: copy runs the reference per-word load/store loop.
-USE_BATCHED_COPY = True
 
 
 @dataclass
@@ -78,16 +75,17 @@ class BlockTransferEngine:
         return initiate, completion
 
     def _gather(self, src_mem, src_offset: int, step: int,
-                nwords: int) -> list:
+                nwords: int, fast: bool) -> list:
         """Load the source words of a transfer in one batched call.
 
-        Batched iff the whole masked source range fits below the local
-        address mask, where ``(base + i*step) & MASK == (base & MASK)
-        + i*step`` holds per element; the per-word reference loop
-        covers the (never seen in practice) wrapping case.
+        Batched iff ``fast`` and the whole masked source range fits
+        below the local address mask, where ``(base + i*step) & MASK ==
+        (base & MASK) + i*step`` holds per element; the per-word
+        reference loop covers the (never seen in practice) wrapping
+        case and :func:`repro.tiers.reference` runs.
         """
         base = src_offset & LOCAL_ADDR_MASK
-        if USE_BATCHED_COPY and base + (nwords - 1) * step <= LOCAL_ADDR_MASK:
+        if fast and base + (nwords - 1) * step <= LOCAL_ADDR_MASK:
             if step == WORD_BYTES:
                 return src_mem.load_range(base, nwords)
             return src_mem.load_stride(base, step, nwords)
@@ -105,12 +103,13 @@ class BlockTransferEngine:
         """
         strided = stride_bytes is not None and stride_bytes != WORD_BYTES
         initiate, completion = self._start(now, nbytes, strided)
+        fast = tiers.fast()
         src_mem = self.fabric.node(src_pe).memsys.memory
         dst_mem = self.fabric.node(self.my_pe).memsys.memory
         step = stride_bytes if stride_bytes else WORD_BYTES
         nwords = self._words(nbytes)
         dst_base = dst_offset & LOCAL_ADDR_MASK
-        if (USE_BATCHED_COPY and step == WORD_BYTES
+        if (fast and step == WORD_BYTES
                 and (src_offset & LOCAL_ADDR_MASK) + (nwords - 1) * step
                 <= LOCAL_ADDR_MASK
                 and dst_base + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK
@@ -120,9 +119,8 @@ class BlockTransferEngine:
             # Segment-to-segment: one typed slice assignment, no
             # intermediate Python list.
             return initiate, BltTransfer(completion, nbytes, "read")
-        values = self._gather(src_mem, src_offset, step, nwords)
-        if USE_BATCHED_COPY and (dst_base + (nwords - 1) * WORD_BYTES
-                                 <= LOCAL_ADDR_MASK):
+        values = self._gather(src_mem, src_offset, step, nwords, fast)
+        if fast and dst_base + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK:
             dst_mem.store_range(dst_base, values)
         else:
             for i, value in enumerate(values):
@@ -137,12 +135,13 @@ class BlockTransferEngine:
         strided = stride_bytes is not None and stride_bytes != WORD_BYTES
         initiate, completion = self._start(now, nbytes, strided,
                                            direction="write")
+        fast = tiers.fast()
         src_mem = self.fabric.node(self.my_pe).memsys.memory
         dst_node = self.fabric.node(dst_pe)
         step = stride_bytes if stride_bytes else WORD_BYTES
         nwords = self._words(nbytes)
         dst_base = dst_offset & LOCAL_ADDR_MASK
-        if (USE_BATCHED_COPY and step == WORD_BYTES
+        if (fast and step == WORD_BYTES
                 and (src_offset & LOCAL_ADDR_MASK) + (nwords - 1) * step
                 <= LOCAL_ADDR_MASK
                 and dst_base + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK
@@ -158,9 +157,8 @@ class BlockTransferEngine:
                 addr=dst_offset & LOCAL_ADDR_MASK,
             )
             return initiate, BltTransfer(completion, nbytes, "write")
-        values = self._gather(src_mem, src_offset, step, nwords)
-        if USE_BATCHED_COPY and (dst_base + (nwords - 1) * WORD_BYTES
-                                 <= LOCAL_ADDR_MASK):
+        values = self._gather(src_mem, src_offset, step, nwords, fast)
+        if fast and dst_base + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK:
             # Stores don't read the cache, so committing all words and
             # then dropping the covered lines is the same end state as
             # the per-word store/invalidate interleave.

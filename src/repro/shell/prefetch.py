@@ -36,11 +36,6 @@ from repro.params import (
 )
 from repro.trace import tracer as _trace
 
-try:  # numpy is optional: without it plan_read declines.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via numpy-less images
-    _np = None
-
 __all__ = ["PrefetchQueue", "QueueFullError"]
 
 
@@ -128,7 +123,7 @@ class PrefetchQueue:
         mask = LOCAL_ADDR_MASK
         p = self.params
         window = min(p.queue_depth, nwords)
-        if (_np is None or _trace.TRACE_ENABLED or self._fifo
+        if (_trace.TRACE_ENABLED or self._fifo
                 or self._issued_since_pop or pe == self.my_pe
                 or window < p.small_group_barrier_threshold
                 or offset < 0 or offset + (nwords - 1) * WORD_BYTES > mask):

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from array import array
 
+import numpy as _np
+
 from repro.node.exact import on_grid
 from repro.node.memory import WordRun
 from repro.node.memsys import ReadPlan
@@ -37,11 +39,6 @@ from repro.params import (
     WORD_BYTES,
 )
 from repro.trace import tracer as _trace
-
-try:  # numpy is optional: without it the batched plans decline.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via numpy-less images
-    _np = None
 
 __all__ = ["AckRecord", "PeerLink", "RemoteAccessUnit",
            "make_inbound_on_retire"]
@@ -353,7 +350,7 @@ class RemoteAccessUnit:
         """Shared checks of a batched read of ``nwords`` words of ``pe``
         from ``offset``: returns ``(peer, values)`` or None."""
         mask = LOCAL_ADDR_MASK
-        if (_np is None or _trace.TRACE_ENABLED or pe == self.my_pe
+        if (_trace.TRACE_ENABLED or pe == self.my_pe
                 or offset < 0 or offset + (nwords - 1) * WORD_BYTES > mask):
             return None
         peer = self._peer(pe)

@@ -22,8 +22,9 @@ supports strided gathers, tested separately.
 
 from __future__ import annotations
 
+from repro import tiers
 from repro.node.exact import on_grid
-from repro.node.write_buffer import BlockingSource, PendingWrite
+from repro.node.write_buffer import BlockingSource
 from repro.params import LOCAL_ADDR_MASK, WORD_BYTES
 from repro.shell.annex import ReadMode
 from repro.splitc.gptr import GlobalPtr
@@ -51,15 +52,12 @@ def _words(nbytes: int) -> int:
     return nbytes // WORD_BYTES
 
 
-#: Escape hatch for the golden-equivalence tests: when False every
-#: transfer runs its reference per-word loop.
-USE_BATCHED_BULK = True
-
-
 def _batched(ctx) -> bool:
-    """Whether to try the batched path: the loop overhead it folds into
-    precomputed gaps must sit on the exactness grid."""
-    return USE_BATCHED_BULK and on_grid(ctx.node.alpha.loop_iteration())
+    """Whether to try the batched path: the fast paths are on
+    (:func:`repro.tiers.fast`) and the loop overhead it folds into
+    precomputed gaps sits on the exactness grid; otherwise the transfer
+    runs its reference per-word loop."""
+    return tiers.fast() and on_grid(ctx.node.alpha.loop_iteration())
 
 
 def _stream_reads(ctx, now: float, dst_offset: int, plan, source) -> bool:
@@ -79,113 +77,11 @@ def _stream_reads(ctx, now: float, dst_offset: int, plan, source) -> bool:
 
 
 def _local_copy(sc, dst_offset: int, src_offset: int, nbytes: int) -> None:
-    nwords = _words(nbytes)
     ctx = sc.ctx
-    if USE_BATCHED_BULK and _local_copy_fast(ctx, dst_offset, src_offset,
-                                             nwords):
-        return
-    for i in range(nwords):
+    for i in range(_words(nbytes)):
         value = ctx.local_read(src_offset + i * WORD_BYTES)
         ctx.local_write(dst_offset + i * WORD_BYTES, value)
         ctx.charge(ctx.node.alpha.loop_iteration())
-
-
-def _local_copy_fast(ctx, dst_offset: int, src_offset: int,
-                     nwords: int) -> bool:
-    """The word-copy loop with the local read and write pipelines
-    inlined, for the ``_fast_read`` node shape (direct-mapped L1, no
-    L2, never-missing TLB; False, nothing done, otherwise).  Identical
-    state transitions and clock additions in the same order as the
-    reference loop; only the Python call chain per word is flattened."""
-    memsys = ctx.node.memsys
-    if not memsys._fast_read:
-        return False
-    wb = memsys.write_buffer
-    pending = wb._pending            # flush_retired trims it in place
-    wb_flush = wb.flush_retired
-    wb_push = wb.push
-    issue_cycles = wb._issue_cycles
-    merging = wb._merging
-    capacity = wb._capacity
-    wline = wb.line_bytes
-    l1 = memsys.l1
-    lb = l1._line_bytes
-    nsets = l1._num_sets
-    tags = l1._tags
-    tags_get = tags.get
-    hit_cycles = memsys.params.l1.hit_cycles
-    dram_access = memsys.dram.access
-    mem_get = memsys.memory.word_get
-    mask = LOCAL_ADDR_MASK
-    wbytes = WORD_BYTES
-    loop_it = ctx.node.alpha.loop_iteration()
-    clock = ctx.clock
-    for i in range(nwords):
-        # --- local_read: memsys.read, flattened ---
-        a = src_offset + i * wbytes
-        found = False
-        if pending:
-            if pending[0].retire_time <= clock:
-                wb_flush(clock)
-            w = a - (a % wbytes)
-            for entry in reversed(pending):
-                if w in entry.words:
-                    found = True
-                    fv = entry.words[w]
-                    break
-        line = a - (a % lb)
-        index = (a // lb) % nsets
-        if tags_get(index) == line:
-            l1.hits += 1
-            clock += hit_cycles
-        else:
-            l1.misses += 1
-            tags[index] = line
-            clock += dram_access(a & mask)
-        if found:
-            value = fv
-        else:
-            la = a & mask
-            value = mem_get(la - (la % wbytes), 0)
-        # --- local_write: memsys.write_cycles, flattened (merging
-        # pre-scan runs before any flush, preserving the quirk that a
-        # match on a retired entry falls through push into a
-        # zero-drain enqueue) ---
-        a = dst_offset + i * wbytes
-        line = a - (a % wline)
-        matched = False
-        if merging:
-            for entry in pending:
-                if entry.line_addr == line:
-                    matched = True
-                    break
-        if matched:
-            clock += wb_push(clock, a, value, 0.0)
-        else:
-            drain = dram_access(line & mask)
-            # write_buffer.push_new, inlined.
-            if pending and pending[0].retire_time <= clock:
-                wb_flush(clock)
-            stall = 0.0
-            if len(pending) >= capacity:
-                stall = pending[0].retire_time - clock
-                if stall < 0.0:
-                    stall = 0.0
-                wb_flush(clock + stall)
-            start = clock + stall
-            retire = wb._last_retire
-            if start > retire:
-                retire = start
-            retire += drain / capacity
-            wb._last_retire = retire
-            pending.append(PendingWrite(line, start, retire,
-                                        {a - (a % wbytes): value}))
-            if len(pending) == 1:
-                wb.mark_dirty()
-            clock += issue_cycles + stall
-        clock += loop_it
-    ctx.clock = clock
-    return True
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.machine.cohort import cohort_enabled
+from repro import tiers
 from repro.node.alpha import extract_byte, merge_byte_into_word
 from repro.node.write_buffer import PendingWrite
 from repro.params import ANNEX_BIT_SHIFT, LOCAL_ADDR_MASK, WORD_BYTES
@@ -44,12 +44,6 @@ from repro.splitc.trace import SpanTrace
 from repro.trace import tracer as _trace
 
 __all__ = ["SplitC", "run_splitc"]
-
-#: Escape hatch for the flattened ``put_gathered`` kernel: when False
-#: (or whenever any tracing is attached, or the cohort tier is off)
-#: the per-element generic loop runs instead.  The golden equivalence
-#: suite flips this to prove the two paths are bit-identical.
-USE_FAST_PUT_GROUP = True
 
 #: Annex policies whose ``setup`` is *stationary* from the second
 #: consecutive same-target call on: every further call returns the
@@ -282,8 +276,8 @@ class SplitC:
                 for src, dst in pairs:
                     self.put_to(pe, dst, self.ctx.local_read(src))
 
-        With the cohort tier on and no tracing attached, the loop body
-        is flattened: the phase-invariant bindings (write buffer,
+        With the fast paths on (:func:`repro.tiers.fast`) and no
+        tracing attached, the loop body is flattened: the phase-invariant bindings (write buffer,
         Annex, params) are hoisted once per *phase*, the per-target
         bindings (peer cache, retirement callback, DRAM geometry) once
         per *group*, the Annex set-up runs natively for the first two
@@ -296,10 +290,9 @@ class SplitC:
         """
         ctx = self.ctx
         policy = self.annex_policy
-        if (not USE_FAST_PUT_GROUP or self.trace is not None
-                or _trace.TRACE_ENABLED
+        if (self.trace is not None or _trace.TRACE_ENABLED
                 or type(policy) not in _STATIONARY_POLICIES
-                or not cohort_enabled()):
+                or not tiers.fast()):
             local_read = ctx.local_read
             put_to = self.put_to
             for pe, pairs in groups:

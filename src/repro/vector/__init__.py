@@ -1,55 +1,47 @@
 """The vectorized compute tier: numpy structure-of-arrays probe kernels.
 
-The repo now has **three** compute tiers for the probe and figure hot
-loops, selected per point and always bit-identical:
+The probe and figure hot loops have **two** compute tiers, selected per
+point and always bit-identical:
 
 1. **reference** — the per-access loop in
    :func:`repro.microbench.harness.run_stride_point`, one simulated
    memory operation per Python iteration.  Always available; the
    golden source of truth.
-2. **fast** — the flattened batched sweeps of PR 1
-   (:meth:`repro.node.memsys.MemorySystem.read_sweep` /
-   ``write_sweep``): same state transitions, fewer Python frames.
-3. **vectorized** (this package) — the whole address stream of one
+2. **vectorized** (this package) — the whole address stream of one
    (size, stride) point is generated up front as numpy arrays and the
    cache/TLB/DRAM-page/write-buffer timing is computed with vectorized
    tag arithmetic (set-index diffs, per-bank row diffs, modular
-   sawtooth structure).  Exactness is an argument, not a hope: every
-   per-access cost in the model is a small dyadic rational (integers
-   for reads; quarter-integers for the pipelined write drain), and all
-   totals stay far below 2**53, so float64 addition never rounds and
-   any summation order reproduces the reference total bit for bit.
+   sawtooth structure).  Exactness is an argument, not a hope: the
+   builders decline unless every cycle value they add is a multiple of
+   ``2**-8`` (:func:`repro.node.exact.on_grid`) and the write buffer's
+   depth is a power of two, and all totals stay far below ``2**44``,
+   so float64 addition never rounds and any summation order
+   reproduces the reference total bit for bit.
 
 Tier selection
 --------------
-``REPRO_VECTOR=0`` disables the tier (``1``/unset enables it).  When
-numpy is not importable the tier silently degrades to the fast tier
-after a one-line warning — the package never *requires* numpy (it is
-the ``vector`` optional dependency in ``pyproject.toml``).
+The tier runs while :func:`repro.tiers.fast` is on;
+:func:`repro.tiers.reference` (or ``repro experiments --reference``)
+turns it off with every other fast path.
 
 A stimulus the kernels cannot express — data-dependent control flow,
-set-associative caches, a machine shape outside the probe's claim —
-raises :class:`UnsupportedStimulus`; the harness catches it and falls
-back to the fast tier (when the probe supplies one) or the reference
-loop.  :data:`CLAIMED_FAMILIES` records, per probe family, whether the
-tier claims it at all; the unclaimed families are claimed *not to be
+set-associative caches, cycle values off the exactness grid, a machine
+shape outside the probe's claim — raises :class:`UnsupportedStimulus`;
+the harness catches it and runs the reference loop for that point.
+:data:`CLAIMED_FAMILIES` records, per probe family, whether the tier
+claims it at all; the unclaimed families are claimed *not to be
 claimed* by ``tests/vector/test_fallback.py``.
-
-This module imports neither numpy nor the kernel modules at import
-time, so ``import repro`` works on a numpy-less interpreter.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
+from repro import tiers
 
 __all__ = [
     "CLAIMED_FAMILIES",
     "UnsupportedStimulus",
     "claims",
     "enabled",
-    "numpy_available",
     "streaming_read_total",
     "stride_sweep_fn",
 ]
@@ -58,8 +50,8 @@ __all__ = [
 class UnsupportedStimulus(Exception):
     """A stimulus (or machine shape) the vectorized kernels do not
     claim.  Raising it is the tier's *only* failure mode: the harness
-    treats it as "compute this point on a lower tier", never as a
-    wrong answer."""
+    treats it as "run this point's reference loop", never as a wrong
+    answer."""
 
 
 #: Probe family -> does the vectorized tier claim it?  The unclaimed
@@ -90,84 +82,43 @@ CLAIMED_FAMILIES = {
     "em3d": False,
 }
 
-_warned_missing_numpy = False
-
 
 def claims(family: str) -> bool:
     """Whether the vectorized tier claims a probe family at all."""
     return CLAIMED_FAMILIES.get(family, False)
 
 
-def numpy_available() -> bool:
-    """True when numpy is importable (cheap after the first import)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def enabled() -> bool:
-    """Tier switch: ``REPRO_VECTOR=0`` disables; numpy must import.
-
-    Consulted when a probe *builds* its sweep function (not per
-    access), so flipping the environment variable between probe calls
-    is enough to switch tiers — the equivalence tests rely on that.
-    """
-    if os.environ.get("REPRO_VECTOR", "1").lower() in (
-            "0", "false", "no", "off"):
-        return False
-    if not numpy_available():
-        global _warned_missing_numpy
-        if not _warned_missing_numpy:
-            warnings.warn(
-                "repro.vector: numpy is not installed; falling back to "
-                "the fast tier (pip install 'repro-t3d[vector]')",
-                RuntimeWarning, stacklevel=2)
-            _warned_missing_numpy = True
-        return False
-    return True
+    """Whether the tier runs: :func:`repro.tiers.fast`, read when a
+    probe *builds* its sweep function (not per access)."""
+    return tiers.fast()
 
 
-def stride_sweep_fn(family: str, *, fallback=None, **geometry):
-    """Build a batched ``sweep_fn`` for one probe family, or hand back
-    ``fallback`` when the tier is off, unavailable, or does not claim
-    the family/geometry.
+def stride_sweep_fn(family: str, **geometry):
+    """Build a batched ``sweep_fn`` for one probe family, or None when
+    the tier is off or does not claim the family/geometry.
 
     The returned callable has the
     :func:`repro.microbench.harness.run_stride_point` contract
     ``sweep_fn(base, stride, count, warmup_passes, measure_passes) ->
     (total, accesses)`` and assumes the probe's ``reset_fn`` has
-    cold-started the machine (every stride probe does).  A per-point
-    :class:`UnsupportedStimulus` re-routes that point to ``fallback``
-    when one was given; with no fallback the exception propagates and
-    the harness runs the reference loop instead.
+    cold-started the machine (every stride probe does).  A point it
+    cannot express raises :class:`UnsupportedStimulus`, and the harness
+    runs the reference loop for it instead.
     """
     if not claims(family) or not enabled():
-        return fallback
+        return None
     from repro.vector import sweeps
     try:
-        kernel = sweeps.build(family, **geometry)
+        return sweeps.build(family, **geometry)
     except UnsupportedStimulus:
-        return fallback
-    if fallback is None:
-        return kernel
-
-    def sweep(base, stride, count, warmup_passes, measure_passes):
-        try:
-            return kernel(base, stride, count, warmup_passes,
-                          measure_passes)
-        except UnsupportedStimulus:
-            return fallback(base, stride, count, warmup_passes,
-                            measure_passes)
-
-    return sweep
+        return None
 
 
 def streaming_read_total(node_params, nbytes: int):
     """Total read cycles of the sequential streaming-bandwidth stimulus
     (one pass, word stride, cold machine), or ``None`` when the point
-    must run on a lower tier."""
+    must run its reference loop."""
     if not enabled() or not claims("streaming_bandwidth"):
         return None
     from repro.vector import sweeps

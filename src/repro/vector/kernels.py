@@ -58,7 +58,7 @@ def validate_point(base: int, stride: int, count: int,
     negative stride walks addresses downward; ``range`` raises on a
     zero stride), so anything outside the canonical sawtooth —
     positive stride, at least one access, non-negative base, at least
-    one measured pass — is routed back to a lower tier rather than
+    one measured pass — is routed to the reference loop rather than
     silently reinterpreted.
     """
     if stride <= 0 or count <= 0 or base < 0 \

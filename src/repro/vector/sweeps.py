@@ -5,8 +5,12 @@ machine, a mechanism name) into a ``sweep_fn`` with the harness
 contract ``(base, stride, count, warmup_passes, measure_passes) ->
 (total_cycles, measured_accesses)``.  Builders validate the geometry
 once (anything the kernels cannot express raises
-:class:`~repro.vector.UnsupportedStimulus` so the caller keeps a lower
-tier); the returned closures re-validate per point.
+:class:`~repro.vector.UnsupportedStimulus` so the caller runs the
+reference loop): the machine shape, and every cycle value the closure
+adds, which must sit on the exactness grid of
+:func:`repro.node.exact.on_grid` for any summation order to reproduce
+the reference bit for bit.  The returned closures re-validate per
+point.
 
 Like a probe-memo hit, a vectorized point computes the timing answer
 without stepping the stateful units, so hit/miss counters and model
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.node.exact import on_grid
 from repro.params import (
     LOCAL_ADDR_MASK,
     MachineParams,
@@ -56,16 +61,30 @@ def build(family: str, **geometry):
 
 def _check_node_geometry(p: NodeParams, *, caches: bool = True) -> None:
     """The node shapes the kernels claim: direct-mapped caches, an LRU
-    TLB with at least one entry, a positive DRAM bank count."""
+    TLB with at least one entry, a positive DRAM bank count, and DRAM
+    and TLB costs on the exactness grid (plus the cache hit costs when
+    ``caches``)."""
     if caches:
         if p.l1.associativity != 1:
             raise UnsupportedStimulus("set-associative L1")
         if p.l2 is not None and p.l2.associativity != 1:
             raise UnsupportedStimulus("set-associative L2")
-    if not p.tlb.never_misses and p.tlb.entries < 1:
-        raise UnsupportedStimulus("TLB without entries")
+        _require_grid(p.l1.hit_cycles,
+                      *(() if p.l2 is None else (p.l2.hit_cycles,)))
+    if not p.tlb.never_misses:
+        if p.tlb.entries < 1:
+            raise UnsupportedStimulus("TLB without entries")
+        _require_grid(p.tlb.miss_cycles)
     if p.dram.banks < 1:
         raise UnsupportedStimulus("DRAM without banks")
+    _require_grid(p.dram.access_cycles, p.dram.off_page_cycles,
+                  p.dram.same_bank_cycles)
+
+
+def _require_grid(*cycles: float) -> None:
+    """Decline unless every cycle value is on the exactness grid."""
+    if not all(on_grid(x) for x in cycles):
+        raise UnsupportedStimulus("cycle value off the exactness grid")
 
 
 def _local_read_costs(p: NodeParams, addrs: np.ndarray,
@@ -134,12 +153,20 @@ def _build_local_read(*, node_params: NodeParams):
 def _build_local_write(*, node_params: NodeParams):
     _check_node_geometry(node_params, caches=False)
     p = node_params
-    if p.write_buffer.entries < 1:
-        raise UnsupportedStimulus("write buffer without entries")
+    depth = p.write_buffer.entries
+    if depth < 1 or depth & (depth - 1):
+        raise UnsupportedStimulus("write buffer depth not a power of two")
+    dram = p.dram
+    drains = (dram.access_cycles,
+              dram.access_cycles + dram.off_page_cycles,
+              dram.access_cycles + dram.off_page_cycles
+              + dram.same_bank_cycles)
+    _require_grid(p.write_buffer.issue_cycles,
+                  *(drain / depth for drain in drains))
 
     def sweep(base, stride, count, warmup_passes, measure_passes):
-        """Twin of :meth:`MemorySystem.write_sweep` /
-        :meth:`MemorySystem.write_cycles`.
+        """Twin of the per-store :meth:`MemorySystem.write_cycles`
+        loop.
 
         Write timing is genuinely sequential — merging couples to the
         drain schedule, which couples to the running clock — so the
@@ -160,15 +187,15 @@ def _build_local_write(*, node_params: NodeParams):
           ``capacity`` entries ever unretired, the store ``i`` stalls
           exactly ``max(0, retire[i-capacity] - issue_time)``.
         * **Steady-state pass replay** — write timing is translation
-          invariant: every quantity is a quarter-integer dyadic
-          rational, so shifting all clocks by the pass start time is
-          exact, and a pass that begins in the same *relative* state
+          invariant: every quantity is a multiple of ``2**-8`` (the
+          builder declines otherwise), so shifting all clocks by the
+          pass start time is exact, and a pass that begins in the
+          same *relative* state
           (open rows, last bank, pending lines with retire times
           relative to now) as the previous pass repeats its total
           verbatim.  From the second pass boundary on (where the TLB
           cost pattern is also pass-invariant), remaining passes are
-          replayed without simulation — the write twin of
-          ``read_sweep``'s fixed-point detection.
+          replayed without simulation.
         * The generic loop (merging strides) runs over precomputed
           Python lists with the pending buffer as parallel scalars
           and a head pointer, replacing the reference's per-store
@@ -407,6 +434,8 @@ def _build_remote_read(*, machine, mechanism: str, splitc=None):
     remote = params.shell.remote
     dram = params.node.dram
     flight = machine.hops(0, 1) * params.network.hop_cycles
+    _require_grid(remote.remote_off_page_cycles, remote.read_overhead_cycles,
+                  flight)
 
     def _target_dram_costs(addrs: np.ndarray) -> np.ndarray:
         """Twin of ``RemoteAccessUnit._target_memory_cycles``: the
@@ -421,6 +450,7 @@ def _build_remote_read(*, machine, mechanism: str, splitc=None):
 
     if mechanism == "uncached":
         base_cost = remote.read_overhead_cycles + 2 * flight
+        _require_grid(base_cost)
 
         def sweep(base, stride, count, warmup_passes, measure_passes):
             validate_point(base, stride, count, warmup_passes,
@@ -453,6 +483,8 @@ def _build_remote_read(*, machine, mechanism: str, splitc=None):
         base_cost = (params.shell.annex.update_cycles
                      + remote.read_overhead_cycles + 2 * flight
                      + remote.splitc_read_extra_cycles)
+        _require_grid(params.shell.annex.update_cycles,
+                      remote.splitc_read_extra_cycles, base_cost)
 
         def sweep(base, stride, count, warmup_passes, measure_passes):
             validate_point(base, stride, count, warmup_passes,
@@ -471,6 +503,7 @@ def _build_remote_read(*, machine, mechanism: str, splitc=None):
         annex_bit = np.int64(1) << 32    # compose_address(1, offset)
         base_cost = (remote.read_overhead_cycles
                      + remote.cached_line_extra_cycles + 2 * flight)
+        _require_grid(remote.cached_line_extra_cycles, base_cost)
 
         def sweep(base, stride, count, warmup_passes, measure_passes):
             validate_point(base, stride, count, warmup_passes,

@@ -59,13 +59,35 @@ def test_compute_is_deterministic():
     assert a.e_checksum == b.e_checksum
 
 
-def test_scalar_fill_matches_numpy_fill(monkeypatch):
-    import repro.apps.em3d.million as million_mod
-    with_np = _point(replay=True, nodes_per_pe=37)
-    monkeypatch.setattr(million_mod, "_np", None)
-    without_np = _point(replay=True, nodes_per_pe=37)
-    assert without_np.cycles_per_edge == with_np.cycles_per_edge
-    assert without_np.e_checksum == with_np.e_checksum
+def test_scalar_fill_matches_numpy_fill():
+    """The vectorized fill writes exactly the module docstring's scalar
+    formulas: integer hashes scaled by an exact power of two."""
+    from repro.apps.em3d import million
+    from repro.node.memory import WordMemory
+
+    n, degree = 37, 2
+    vb = million.VALUE_BYTES
+    layout = {"e_vals": 0, "h_vals": n * vb, "e_adj": 2 * n * vb,
+              "h_adj": 2 * n * vb + n * degree * 16}
+    mem = WordMemory()
+    million._build_image(mem, layout, n, degree)
+
+    def unit(x):
+        return (x % million._HASH_MOD) / million._HASH_MOD * 2.0 - 1.0
+
+    for kind, (mult, off) in million._INIT.items():
+        base = layout[kind + "_vals"]
+        assert [mem.load(base + i * vb) for i in range(n)] == [
+            unit(i * mult + off) for i in range(n)]
+    pairs = [(i, k) for i in range(n) for k in range(degree)]
+    for kind, vals in (("e", "h_vals"), ("h", "e_vals")):
+        base = layout[kind + "_adj"]
+        assert [mem.load(base + 16 * e) for e in range(len(pairs))] == [
+            layout[vals] + (i * million._IDX_A + k * million._IDX_B) % n * vb
+            for i, k in pairs]
+        assert [mem.load(base + 8 + 16 * e) for e in range(len(pairs))] == [
+            unit(i * million._HASH_A + k * million._HASH_B)
+            for i, k in pairs]
 
 
 def test_rejects_bad_sizes():

@@ -12,24 +12,28 @@ clock and result equality.
 
 import pytest
 
+from repro import tiers
 from repro.machine.cohort import CohortScheduler, cohort_enabled
 from repro.machine.machine import Machine
 from repro.params import t3d_machine_params
 from repro.simkernel.scheduler import DeadlockError
 
 
+@pytest.fixture(autouse=True)
+def _fast_paths_on(monkeypatch):
+    monkeypatch.delenv(tiers.ENV, raising=False)
+
+
 def _machine(shape=(2, 2, 1)):
     return Machine(t3d_machine_params(shape))
 
 
-def _run_both(program, shape=(2, 2, 1), monkeypatch=None):
+def _run_both(program, shape=(2, 2, 1)):
     """Run ``program`` under the cohort and the reference scheduler on
     fresh machines; return ((results, clocks), (results, clocks))."""
-    assert monkeypatch is not None
-    monkeypatch.setenv("REPRO_COHORT", "1")
     results_c, contexts_c = _machine(shape).run_spmd(program)
-    monkeypatch.setenv("REPRO_COHORT", "0")
-    results_r, contexts_r = _machine(shape).run_spmd(program)
+    with tiers.reference():
+        results_r, contexts_r = _machine(shape).run_spmd(program)
     return ((results_c, [c.clock for c in contexts_c]),
             (results_r, [c.clock for c in contexts_r]))
 
@@ -38,7 +42,7 @@ def _run_both(program, shape=(2, 2, 1), monkeypatch=None):
 # Partial barrier: a straggler must hold the whole epoch's cohort
 # ----------------------------------------------------------------------
 
-def test_partial_barrier_holds_cohort(monkeypatch):
+def test_partial_barrier_holds_cohort():
     def program(ctx):
         # PE 3 straggles by 50k cycles; 0-2 arrive almost together and
         # must block until the last arrival completes the epoch.
@@ -46,13 +50,13 @@ def test_partial_barrier_holds_cohort(monkeypatch):
         yield from ctx.barrier()
         return ctx.clock
 
-    cohort, reference = _run_both(program, monkeypatch=monkeypatch)
+    cohort, reference = _run_both(program)
     assert cohort == reference
     results, _clocks = cohort
     assert min(results) > 50_000.0        # nobody exited early
 
 
-def test_repeated_partial_barriers(monkeypatch):
+def test_repeated_partial_barriers():
     def program(ctx):
         marks = []
         for step in range(4):
@@ -62,15 +66,14 @@ def test_repeated_partial_barriers(monkeypatch):
             marks.append(ctx.clock)
         return marks
 
-    assert _run_both(program, monkeypatch=monkeypatch)[0] == \
-        _run_both(program, monkeypatch=monkeypatch)[1]
+    assert _run_both(program)[0] == _run_both(program)[1]
 
 
 # ----------------------------------------------------------------------
 # Wakeup exactly on the horizon: bytes landing at the waiter's clock
 # ----------------------------------------------------------------------
 
-def test_store_wakeup_via_in_run_flush(monkeypatch):
+def test_store_wakeup_via_in_run_flush():
     """The producer's memory barrier drains the store while other
     threads still run: the wake event fires mid-round."""
 
@@ -90,12 +93,12 @@ def test_store_wakeup_via_in_run_flush(monkeypatch):
         return None
         yield  # pragma: no cover
 
-    cohort, reference = _run_both(program, monkeypatch=monkeypatch)
+    cohort, reference = _run_both(program)
     assert cohort == reference
     assert cohort[0][0] >= 8
 
 
-def test_store_wakeup_via_settle_when_heap_empties(monkeypatch):
+def test_store_wakeup_via_settle_when_heap_empties():
     """No thread ever flushes: the bytes land only when the scheduler
     runs out of runnable threads and settles the write buffers — the
     wakeup arrives exactly on the deadlock-check horizon."""
@@ -115,7 +118,7 @@ def test_store_wakeup_via_settle_when_heap_empties(monkeypatch):
         return None
         yield  # pragma: no cover
 
-    cohort, reference = _run_both(program, monkeypatch=monkeypatch)
+    cohort, reference = _run_both(program)
     assert cohort == reference
     assert cohort[0][0] >= 8
 
@@ -124,7 +127,7 @@ def test_store_wakeup_via_settle_when_heap_empties(monkeypatch):
 # Mixed conditions: one wake event must not wake the other groups
 # ----------------------------------------------------------------------
 
-def test_mixed_conditions_split_cohort(monkeypatch):
+def test_mixed_conditions_split_cohort():
     """Barrier waiters, a bytes waiter, and a message waiter coexist;
     each horizon releases exactly its own group."""
 
@@ -156,13 +159,13 @@ def test_mixed_conditions_split_cohort(monkeypatch):
         yield from ctx.barrier()
         return ("idle", None)
 
-    cohort, reference = _run_both(program, monkeypatch=monkeypatch)
+    cohort, reference = _run_both(program)
     assert cohort == reference
     assert cohort[0][0] == ("bytes", 8)
     assert cohort[0][1] == ("msg", ("hi", 2))
 
 
-def test_annex_conflict_inside_cohort(monkeypatch):
+def test_annex_conflict_inside_cohort():
     """Threads of one cohort hammer conflicting Annex registers (the
     same register renamed between targets every put): the per-thread
     Annex reload costs must split the cohort's clocks exactly as the
@@ -190,10 +193,9 @@ def test_annex_conflict_inside_cohort(monkeypatch):
         return results, [sc.stats.ops["put (issue)"].count
                          for sc in runtimes]
 
-    monkeypatch.setenv("REPRO_COHORT", "1")
     cohort = scenario()
-    monkeypatch.setenv("REPRO_COHORT", "0")
-    reference = scenario()
+    with tiers.reference():
+        reference = scenario()
     assert cohort == reference
 
 
@@ -201,17 +203,16 @@ def test_annex_conflict_inside_cohort(monkeypatch):
 # Degenerate and failure shapes
 # ----------------------------------------------------------------------
 
-def test_single_pe_degenerates_to_serial(monkeypatch):
+def test_single_pe_degenerates_to_serial():
     def program(ctx):
         ctx.charge(10.0)
         yield from ctx.barrier()
         return ctx.pe
 
-    monkeypatch.setenv("REPRO_COHORT", "1")
     results, contexts = _machine((1, 1, 1)).run_spmd(program)
     assert results == [0]
-    monkeypatch.setenv("REPRO_COHORT", "0")
-    ref_results, ref_contexts = _machine((1, 1, 1)).run_spmd(program)
+    with tiers.reference():
+        ref_results, ref_contexts = _machine((1, 1, 1)).run_spmd(program)
     assert results == ref_results
     assert [c.clock for c in contexts] == [c.clock for c in ref_contexts]
 
@@ -224,7 +225,7 @@ def test_deadlock_message_matches_reference(monkeypatch):
 
     messages = {}
     for env in ("1", "0"):
-        monkeypatch.setenv("REPRO_COHORT", env)
+        monkeypatch.setenv(tiers.ENV, env)
         with pytest.raises(DeadlockError) as excinfo:
             _machine().run_spmd(program)
         messages[env] = str(excinfo.value)
@@ -232,8 +233,7 @@ def test_deadlock_message_matches_reference(monkeypatch):
     assert "already finished" in messages["1"]
 
 
-def test_wake_sinks_restored_after_run(monkeypatch):
-    monkeypatch.setenv("REPRO_COHORT", "1")
+def test_wake_sinks_restored_after_run():
     machine = _machine()
 
     def program(ctx):
@@ -253,12 +253,12 @@ def test_wake_sinks_restored_after_run(monkeypatch):
     (" OFF ", False), ("1", True), ("yes", True), ("", True),
 ])
 def test_cohort_enabled_parsing(monkeypatch, value, expected):
-    monkeypatch.setenv("REPRO_COHORT", value)
+    monkeypatch.setenv(tiers.ENV, value)
     assert cohort_enabled() is expected
 
 
 def test_cohort_enabled_defaults_on(monkeypatch):
-    monkeypatch.delenv("REPRO_COHORT", raising=False)
+    monkeypatch.delenv(tiers.ENV, raising=False)
     assert cohort_enabled() is True
 
 
@@ -278,23 +278,21 @@ def test_dispatch_honours_env(monkeypatch):
         yield from ctx.barrier()
         return ctx.pe
 
-    monkeypatch.setenv("REPRO_COHORT", "1")
+    monkeypatch.setenv(tiers.ENV, "1")
     _machine().run_spmd(program)
     assert recorded == [4]
-    monkeypatch.setenv("REPRO_COHORT", "0")
+    monkeypatch.setenv(tiers.ENV, "0")
     _machine().run_spmd(program)
     assert recorded == [4]          # reference path: no cohort run
-    monkeypatch.setenv("REPRO_COHORT", "1")
+    monkeypatch.setenv(tiers.ENV, "1")
     _machine((1, 1, 1)).run_spmd(program)
     assert recorded == [4]          # 1 PE: serial degenerate path
 
 
-def test_cohort_round_events_traced(monkeypatch):
+def test_cohort_round_events_traced():
     """Traced cohort runs emit schema-valid ``cohort_round`` events."""
     from repro.trace import tracer as trace
     from repro.trace.events import validate_record
-
-    monkeypatch.setenv("REPRO_COHORT", "1")
 
     def program(ctx):
         ctx.charge(100.0 * ctx.pe)

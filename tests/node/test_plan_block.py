@@ -19,12 +19,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-np = pytest.importorskip("numpy")
-
-from repro.node import memsys as memsys_mod
 from repro.node.memsys import MemorySystem
 from repro.params import (
     ANNEX_BIT_SHIFT,
@@ -190,12 +188,6 @@ def _hazard(block, ms):
             or any(e.line_addr in lines for e in pending)
             or {a & mask for a in loads} & {s & mask for s in stores}
             or synonym)
-
-
-def test_plan_declines_without_numpy(monkeypatch):
-    ms, now = _warm("t3d", [], None)
-    monkeypatch.setattr(memsys_mod, "_vk", None)
-    assert ms.plan_block(now, [SEGMENT_BASE], [REGIONS[3]], 1) is None
 
 
 def test_plan_declines_while_tracing():

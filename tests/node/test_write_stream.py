@@ -17,10 +17,9 @@ stream declined and left every unit untouched.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-np = pytest.importorskip("numpy")
 
 from repro.machine.machine import Machine
 from repro.node.memsys import t3d_memory_system, workstation_memory_system

@@ -12,7 +12,6 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-import repro.node.memory as memmod
 from repro.node.memory import WordMemory
 from repro.params import WORD_BYTES
 
@@ -44,7 +43,6 @@ OPS = st.lists(
         st.tuples(st.just("load_stride"), ADDRS,
                   st.integers(min_value=1, max_value=40),
                   st.integers(min_value=0, max_value=12)),
-        st.tuples(st.just("word_get"), ADDRS),
     ),
     max_size=80,
 )
@@ -80,11 +78,9 @@ def _run(sequence, mem):
             out.append([_tagged(v) for v in mem.load_range(op[1], op[2])])
         elif name == "store_range":
             mem.store_range(op[1], op[2])
-        elif name == "load_stride":
+        else:
             out.append([_tagged(v)
                         for v in mem.load_stride(op[1], op[2], op[3])])
-        else:
-            out.append(_tagged(mem.word_get(op[1], 0)))
     return out
 
 
@@ -99,20 +95,6 @@ def test_segment_tier_matches_pure_dict(sequence):
     ref_items = sorted((a, _tagged(v)) for a, v in ref.items())
     assert seg_items == ref_items
     assert len(seg) == len(ref)
-
-
-@given(OPS)
-@settings(max_examples=60, deadline=None)
-def test_numpy_less_fallback_matches(sequence):
-    """With numpy absent the array.array backing carries everything."""
-    saved = memmod._np
-    memmod._np = None
-    try:
-        seg, ref = _segmented(), WordMemory()
-        assert _run(sequence, seg) == _run(sequence, ref)
-        assert seg.segments[0].np_view() is None
-    finally:
-        memmod._np = saved
 
 
 @given(st.lists(st.tuples(st.integers(0, 15), VALUES), max_size=30),

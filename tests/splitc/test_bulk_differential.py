@@ -7,7 +7,7 @@ write buffer (some over the next transfer's source), single cached reads
 that leave stale line snapshots, remote stores that make them stale,
 charges that let entries retire unflushed, and an occasional sync.
 Transfers start off line boundaries and many cross a 16 KB DRAM page.
-The sequence runs once batched and once with ``USE_BATCHED_BULK`` off;
+The sequence runs once batched and once under ``tiers.reference()``;
 the full machine fingerprint must match after every step.
 """
 
@@ -17,14 +17,11 @@ import random
 
 import pytest
 
+from repro import tiers
 from repro.shell.annex import ReadMode
 from repro.splitc import bulk
 from repro.splitc.gptr import GlobalPtr
-from tests.test_fastpath_equivalence import (
-    _fresh_sc,
-    _machine_fingerprint,
-    _reference_paths,
-)
+from tests.test_fastpath_equivalence import _fresh_sc, _machine_fingerprint
 
 PAGE = 16 * 1024
 SEEDS = range(40)
@@ -104,6 +101,6 @@ def _trajectory(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batched_bulk_matches_word_loops(seed):
     fast = _trajectory(seed)
-    with _reference_paths():
+    with tiers.reference():
         ref = _trajectory(seed)
     assert fast == ref

@@ -36,6 +36,27 @@ def test_experiments_to_file(tmp_path, capsys):
     assert "Known deviations" in text
 
 
+def test_reference_run_bypasses_warm_cache(tmp_path, monkeypatch):
+    """``--reference`` runs the reference model: a warm result cache,
+    which holds fast-path results, replays nothing."""
+    from repro.parallel import cache_stats
+    from repro.reporting import experiments
+
+    subset = [e for e in all_experiments() if e.exp_id == "T9/T10"]
+    monkeypatch.setattr(experiments, "all_experiments", lambda: subset)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    fast, reference = tmp_path / "fast.md", tmp_path / "reference.md"
+    assert main(["experiments", "--quick", "-o", str(fast)]) == 0
+    hits = cache_stats()["hits"]
+    assert main(["experiments", "--quick", "-o", str(fast)]) == 0
+    assert cache_stats()["hits"] == hits + 1          # the cache is warm
+    assert main(["experiments", "--quick", "--reference",
+                 "-o", str(reference)]) == 0
+    assert cache_stats()["hits"] == hits + 1
+    assert reference.read_text() == fast.read_text()
+
+
 def test_experiment_registry_covers_all_artifacts():
     ids = " ".join(e.exp_id for e in all_experiments())
     for artifact in ("F1", "F2", "F4", "F5", "F6", "F7", "F8", "F9",

@@ -1,15 +1,16 @@
-"""Golden three-way equivalence: the cohort tier IS the reference.
+"""Golden equivalence: the cohort tier IS the reference.
 
 The cohort-batched scheduler (``repro.machine.cohort``) and the
 flattened scattered-put kernel (``SplitC.put_scatter``) are pure
 performance tiers: they must produce bit-identical simulations to the
 event-at-a-time reference scheduler with the generic per-element put
-loop.  Every scenario below runs three times on fresh machines —
+loop.  Every scenario below runs twice on fresh machines —
 
-* **reference** — ``REPRO_COHORT=0``: event-at-a-time scheduler, and
-  every cohort-gated fast path falls back to the generic loops;
-* **cohort** — cohort scheduler with the flattened put group *off*;
-* **cohort+flat** — cohort scheduler with the flattened put group;
+* **reference** — under :func:`repro.tiers.reference`: the
+  event-at-a-time scheduler, and every fast path falls back to its
+  generic loop;
+* **cohort+flat** — the default: the cohort scheduler with the
+  flattened put group;
 
 and the full observable state (results, per-processor clocks, op
 stats, unit counters, raw memory words) must compare equal — same
@@ -23,33 +24,12 @@ synchronization-horizon shapes the cohort scheduler batches between.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-
 import pytest
 
+from repro import tiers
 from repro.apps import spmd_workloads
 from repro.machine.machine import Machine
 from repro.params import t3d_machine_params
-from repro.splitc import runtime as runtime_mod
-
-CONFIGS = ("reference", "cohort", "cohort+flat")
-
-
-@contextmanager
-def _config(name: str):
-    saved_env = os.environ.get("REPRO_COHORT")
-    saved_flag = runtime_mod.USE_FAST_PUT_GROUP
-    os.environ["REPRO_COHORT"] = "0" if name == "reference" else "1"
-    runtime_mod.USE_FAST_PUT_GROUP = name == "cohort+flat"
-    try:
-        yield
-    finally:
-        if saved_env is None:
-            os.environ.pop("REPRO_COHORT", None)
-        else:
-            os.environ["REPRO_COHORT"] = saved_env
-        runtime_mod.USE_FAST_PUT_GROUP = saved_flag
 
 
 def _machine_fingerprint(machine):
@@ -80,21 +60,17 @@ def _runtime_fingerprint(runtimes):
     ]
 
 
-def _three_way(scenario):
-    """Run ``scenario()`` under each configuration; return the three
-    fingerprints keyed by configuration name."""
-    prints = {}
-    for name in CONFIGS:
-        with _config(name):
-            prints[name] = scenario()
-    return prints
+def _two_way(scenario):
+    """Run ``scenario()`` on the reference and the fast paths; return
+    the two fingerprints keyed by configuration name."""
+    with tiers.reference():
+        reference = scenario()
+    return {"reference": reference, "cohort+flat": scenario()}
 
 
 def _assert_identical(prints):
-    assert prints["reference"] == prints["cohort"], \
-        "cohort scheduler diverged from the event-at-a-time reference"
     assert prints["reference"] == prints["cohort+flat"], \
-        "flattened put group diverged from the reference"
+        "cohort scheduler or flattened put group diverged from the reference"
 
 
 def _machine(shape=(2, 2, 1)):
@@ -112,7 +88,7 @@ def test_workload_three_way_identical(name):
         results = spmd_workloads.run_workload(machine, name)
         return results, _machine_fingerprint(machine)
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +103,7 @@ def test_message_workload_three_way_identical(name):
         results = spmd_workloads.run_message_workload(machine, name)
         return results, _machine_fingerprint(machine)
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +117,7 @@ def test_em3d_sweep_three_way_identical():
         return driver.sweep(fractions=(0.2, 0.5), nodes_per_pe=20,
                             degree=4, shape=(2, 2, 1))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +135,7 @@ def test_stencil_three_way_identical(style):
         return (result.total_cycles, result.values,
                 _machine_fingerprint(machine))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +152,7 @@ def test_transpose_three_way_identical(strategy):
         return (result.total_cycles, result.matrix,
                 _machine_fingerprint(machine))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +169,7 @@ def test_fft_three_way_identical(exchange):
         return (result.total_cycles, result.output,
                 _machine_fingerprint(machine))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +185,7 @@ def test_cg_three_way_identical():
         return (result.total_cycles, result.residual,
                 _machine_fingerprint(machine))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 def test_samplesort_three_way_identical():
@@ -221,7 +197,7 @@ def test_samplesort_three_way_identical():
         return (result.total_cycles, result.sorted_keys,
                 result.per_pe_counts, _machine_fingerprint(machine))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 def test_histogram_three_way_identical():
@@ -233,7 +209,7 @@ def test_histogram_three_way_identical():
         return (result.total_cycles, result.bins,
                 _machine_fingerprint(machine))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +246,7 @@ def test_put_scatter_stats_and_clocks_identical():
         return (results, _runtime_fingerprint(runtimes),
                 _machine_fingerprint(machine))
 
-    _assert_identical(_three_way(scenario))
+    _assert_identical(_two_way(scenario))
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,8 @@ reference loop.
 
 ``repro.apps.em3d.kernels.compute_rows`` runs blocks of rows through
 ``MemorySystem.plan_block`` (one batched L1/DRAM plan, then a row walk
-pushing each store through the write buffer); with
-``kernels.USE_FAST_COMPUTE = False`` it runs the per-access reference
-loop.  Both must leave *every* observable identical after *every*
+pushing each store through the write buffer); under
+``repro.tiers.reference()`` it runs the per-access reference loop.  Both must leave *every* observable identical after *every*
 compute phase, not just the final answer: the processor clock, the op
 stats, the L1 tags, the DRAM open rows, last bank and counters, the
 pending write-buffer entries (retire times and forwarded words), and
@@ -19,12 +18,12 @@ every block, and still match.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
 
-pytest.importorskip("numpy")
-
+from repro import tiers
 from repro.apps.em3d import kernels
 from repro.apps.em3d.graph import make_graph
 from repro.machine.machine import Machine
@@ -88,15 +87,15 @@ def _run(machine_params, version, frac, seed, monkeypatch, fast):
         return real_run_splitc(machine, wrapped)
 
     spy_rows.runtimes = {}
-    monkeypatch.setattr(kernels, "USE_FAST_COMPUTE", fast)
     monkeypatch.setattr(kernels, "compute_rows", spy_rows)
     monkeypatch.setattr(kernels, "run_splitc", spy_run_splitc)
     monkeypatch.setattr(MemorySystem, "plan_block", spy_plan)
     try:
         graph = make_graph(num_pes=4, nodes_per_pe=NODES, degree=DEGREE,
                            remote_fraction=frac, seed=seed)
-        result = kernels.run_em3d(Machine(machine_params), graph, version,
-                                  steps=1, warmup_steps=1)
+        with nullcontext() if fast else tiers.reference():
+            result = kernels.run_em3d(Machine(machine_params), graph,
+                                      version, steps=1, warmup_steps=1)
     finally:
         monkeypatch.undo()
     final = (result.us_per_edge, result.per_pe_cycles_per_edge,

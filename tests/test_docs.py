@@ -169,17 +169,22 @@ def test_every_env_knob_documented_in_performance_doc():
 
 
 def test_cohort_knob_documented_and_registered():
-    """The scheduler escape hatch exists in both spellings: the
-    ``--no-cohort`` flag on ``repro experiments`` and the
-    ``REPRO_COHORT`` variable, each covered by the docs."""
+    """The one switch between the fast paths (the cohort scheduler among
+    them) and the reference model exists in all its spellings — the
+    ``--reference`` flag on ``repro experiments``, the ``REPRO_FAST``
+    variable and ``repro.tiers.reference()`` — each covered by the
+    docs."""
+    from repro import tiers
     from repro.cli import build_parser
     experiments = _subparser_choices(build_parser())["experiments"]
-    assert "--no-cohort" in _option_strings(experiments)
-    assert "--no-vector" in _option_strings(experiments)
-    for doc in ("docs/performance.md", "docs/timing_model.md"):
+    assert "--reference" in _option_strings(experiments)
+    assert tiers.ENV == "REPRO_FAST"
+    for doc in ("README.md", "docs/performance.md", "docs/timing_model.md",
+                "docs/api_guide.md"):
         text = (ROOT / doc).read_text()
-        assert "REPRO_COHORT" in text, doc
-        assert "--no-cohort" in text, doc
+        assert "REPRO_FAST" in text, doc
+        assert "--reference" in text, doc
+        assert "tiers.reference()" in text, doc
 
 
 def test_weak_scaling_snapshot_matches_doc_claims():

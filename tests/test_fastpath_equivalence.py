@@ -1,15 +1,15 @@
 """Golden-equivalence suite: the fast paths ARE the reference model.
 
-Every batched/inlined fast path added for performance keeps an escape
-hatch back to the reference per-access implementation:
+Every batched/inlined fast path added for performance has a way back
+to the reference per-access implementation:
 
 * probe harness: ``sweep_fn=None`` / ``memo_key=None`` force the
   per-access loop and disable the point memo;
-* ``repro.splitc.bulk.USE_BATCHED_BULK`` — the bulk transfers' planned
-  reads and batched write-buffer stream (``WriteBuffer.stream``);
-* ``repro.shell.blt.USE_BATCHED_COPY`` — range-op BLT data movement;
-* ``repro.apps.em3d.kernels.USE_FAST_COMPUTE`` — the batched EM3D
-  compute phase (``MemorySystem.plan_block``).
+* :func:`repro.tiers.reference` turns every fast path off at once —
+  among them the bulk transfers' planned reads and batched
+  write-buffer stream (``WriteBuffer.stream``), the range-op BLT data
+  movement, the batched EM3D compute phase
+  (``MemorySystem.plan_block``) and its ghost fills.
 
 These tests run the same experiment down both paths and assert the
 results are *identical* — same floats, same counters, same memory
@@ -20,16 +20,14 @@ right.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import pytest
 
+from repro import tiers
 from repro.machine.machine import Machine
 from repro.microbench import probes
 from repro.microbench.harness import clear_probe_memo
 from repro.node.memsys import t3d_memory_system, workstation_memory_system
 from repro.params import WORD_BYTES, t3d_machine_params
-from repro.shell import blt as blt_mod
 from repro.splitc import bulk
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.runtime import SplitC
@@ -39,19 +37,6 @@ KB = 1024
 #: Small but cache-exercising probe geometry: spans the 8 KB L1 so the
 #: curves contain hit, miss, and page-crossing regimes.
 PROBE_SIZES = [4 * KB, 16 * KB, 64 * KB]
-
-
-@contextmanager
-def _reference_paths():
-    """Temporarily flip every fast-path escape hatch to the reference
-    implementation."""
-    saved = (bulk.USE_BATCHED_BULK, blt_mod.USE_BATCHED_COPY)
-    bulk.USE_BATCHED_BULK = False
-    blt_mod.USE_BATCHED_COPY = False
-    try:
-        yield
-    finally:
-        bulk.USE_BATCHED_BULK, blt_mod.USE_BATCHED_COPY = saved
 
 
 def _points(curves):
@@ -116,14 +101,14 @@ FIG8_SIZES = [8, 32, 512, 2 * KB, 8 * KB, 32 * KB]
 
 def test_fig8_bulk_read_curves_match_reference():
     fast = probes.bulk_read_bandwidth_probe(sizes=FIG8_SIZES)
-    with _reference_paths():
+    with tiers.reference():
         ref = probes.bulk_read_bandwidth_probe(sizes=FIG8_SIZES)
     assert fast == ref
 
 
 def test_fig8_bulk_write_curves_match_reference():
     fast = probes.bulk_write_bandwidth_probe(sizes=FIG8_SIZES[1:])
-    with _reference_paths():
+    with tiers.reference():
         ref = probes.bulk_write_bandwidth_probe(sizes=FIG8_SIZES[1:])
     assert fast == ref
 
@@ -217,7 +202,7 @@ def test_bulk_word_loops_state_identical(case):
     sc_fast.ctx.clock = sc_fast.ctx.node.remote.wait_for_acks(
         sc_fast.ctx.clock)
 
-    with _reference_paths():
+    with tiers.reference():
         m_ref, sc_ref = _fresh_sc()
         _seed_memories(m_ref)
         drive(sc_ref)
@@ -250,7 +235,7 @@ def test_blt_batched_copy_identical(stride):
         src.store(i * WORD_BYTES, 1000.0 + i)
     drive(sc_fast)
 
-    with _reference_paths():
+    with tiers.reference():
         m_ref, sc_ref = _fresh_sc()
         src = m_ref.node(1).memsys.memory
         for i in range(64):
@@ -266,17 +251,13 @@ def test_blt_batched_copy_identical(stride):
 # ----------------------------------------------------------------------
 
 def test_fig9_em3d_sweep_matches_reference():
-    from repro.apps.em3d import driver, kernels
+    from repro.apps.em3d import driver
 
     kw = dict(fractions=(0.0, 0.5), nodes_per_pe=30, degree=4,
               shape=(2, 1, 1))
     fast = driver.sweep(**kw)
-    saved = kernels.USE_FAST_COMPUTE
-    kernels.USE_FAST_COMPUTE = False
-    try:
+    with tiers.reference():
         ref = driver.sweep(**kw)
-    finally:
-        kernels.USE_FAST_COMPUTE = saved
     assert fast == ref
 
 
@@ -284,16 +265,12 @@ def test_fig9_ghost_fill_fast_path_matches_reference():
     """The inlined ghost-fill loops (reads and puts) must reproduce the
     generic ``read_from``/``put_to`` paths exactly — every version that
     fills ghosts, at a communication-heavy fraction."""
-    from repro.apps.em3d import driver, kernels
+    from repro.apps.em3d import driver
 
     kw = dict(fractions=(0.2, 0.5),
               versions=("bundle", "unroll", "put", "msg"),
               nodes_per_pe=30, degree=4, shape=(2, 1, 1))
     fast = driver.sweep(**kw)
-    saved = kernels.USE_FAST_FILL
-    kernels.USE_FAST_FILL = False
-    try:
+    with tiers.reference():
         ref = driver.sweep(**kw)
-    finally:
-        kernels.USE_FAST_FILL = saved
     assert fast == ref

@@ -1,16 +1,15 @@
-"""Golden three-way equivalence: reference == fast == vectorized.
+"""Golden equivalence: vectorized == reference.
 
 The vectorized tier (:mod:`repro.vector`) joins the fast paths of
 ``tests/test_fastpath_equivalence.py`` under the same doctrine: a tier
 is correct only if it reproduces the reference model *bit for bit* —
 same floats, same access counts — across every claimed probe family
-and machine shape.  Each test runs one probe three times on a cold
-machine:
+and machine shape.  Each test runs one probe on a cold machine on both
+probe tiers:
 
-* **reference** — ``sweep_fn=None``: the per-access harness loop;
-* **fast** — ``REPRO_VECTOR=0``: the probes fall back to the batched
-  ``read_sweep`` / ``write_sweep`` model paths;
-* **vectorized** — ``REPRO_VECTOR=1``: the numpy tier.
+* **vectorized** — the default: the numpy tier;
+* **reference** — under :func:`repro.tiers.reference`: the per-access
+  harness loop.
 
 The point memo is cleared between runs so every tier computes every
 point itself.
@@ -18,15 +17,24 @@ point itself.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-pytest.importorskip("numpy")
-
+from repro import tiers
 from repro.machine.machine import Machine
 from repro.microbench import probes
 from repro.microbench.harness import clear_probe_memo
-from repro.node.memsys import t3d_memory_system, workstation_memory_system
-from repro.params import t3d_machine_params
+from repro.node.memsys import (
+    MemorySystem,
+    t3d_memory_system,
+    workstation_memory_system,
+)
+from repro.params import (
+    t3d_machine_params,
+    t3d_node_params,
+    workstation_node_params,
+)
 
 KB = 1024
 
@@ -40,78 +48,62 @@ def _points(curves):
             for p in curves.points]
 
 
-def _three_tiers(monkeypatch, run, run_reference):
-    """Run a probe on all three tiers, memo cleared between runs."""
-    monkeypatch.setenv("REPRO_VECTOR", "1")
+def _two_tiers(run):
+    """Run a probe on both tiers, memo cleared between runs."""
     clear_probe_memo()
     vectorized = run()
-    monkeypatch.setenv("REPRO_VECTOR", "0")
     clear_probe_memo()
-    fast = run()
+    with tiers.reference():
+        reference = run()
     clear_probe_memo()
-    reference = run_reference()
-    clear_probe_memo()
-    return vectorized, fast, reference
+    return vectorized, reference
 
 
 @pytest.mark.parametrize("make_memsys", [t3d_memory_system,
                                          workstation_memory_system],
                          ids=["t3d", "workstation"])
-def test_local_read_three_tiers_identical(monkeypatch, make_memsys):
-    vec, fast, ref = _three_tiers(
-        monkeypatch,
+def test_local_read_three_tiers_identical(make_memsys):
+    vec, ref = _two_tiers(
         lambda: probes.local_read_probe(make_memsys(), sizes=PROBE_SIZES,
-                                        memo_key=None),
-        lambda: probes.local_read_probe(make_memsys(), sizes=PROBE_SIZES,
-                                        sweep_fn=None, memo_key=None))
+                                        memo_key=None))
     assert _points(vec) == _points(ref)
-    assert _points(fast) == _points(ref)
 
 
 @pytest.mark.parametrize("make_memsys", [t3d_memory_system,
                                          workstation_memory_system],
                          ids=["t3d", "workstation"])
-def test_local_write_three_tiers_identical(monkeypatch, make_memsys):
-    vec, fast, ref = _three_tiers(
-        monkeypatch,
+def test_local_write_three_tiers_identical(make_memsys):
+    vec, ref = _two_tiers(
         lambda: probes.local_write_probe(make_memsys(), sizes=PROBE_SIZES,
-                                         memo_key=None),
-        lambda: probes.local_write_probe(make_memsys(), sizes=PROBE_SIZES,
-                                         sweep_fn=None, memo_key=None))
+                                         memo_key=None))
     assert _points(vec) == _points(ref)
-    assert _points(fast) == _points(ref)
 
 
 @pytest.mark.parametrize("mechanism", ["uncached", "cached", "splitc"])
-def test_remote_read_three_tiers_identical(monkeypatch, mechanism):
-    def run(**kw):
+def test_remote_read_three_tiers_identical(mechanism):
+    def run():
         machine = Machine(t3d_machine_params((2, 1, 1)))
         return probes.remote_read_probe(machine, mechanism=mechanism,
                                         sizes=[16 * KB, 64 * KB],
-                                        memo_key=None, **kw)
+                                        memo_key=None)
 
-    vec, fast, ref = _three_tiers(
-        monkeypatch, run, lambda: run(sweep_fn=None))
-    # remote_read has no fast-tier sweep, so REPRO_VECTOR=0 already
-    # runs the reference loop — the comparison is still three runs.
+    vec, ref = _two_tiers(run)
     assert _points(vec) == _points(ref)
-    assert _points(fast) == _points(ref)
 
 
-def test_streaming_bandwidth_tiers_identical(monkeypatch):
+def test_streaming_bandwidth_tiers_identical():
     for make_memsys in (t3d_memory_system, workstation_memory_system):
-        monkeypatch.setenv("REPRO_VECTOR", "1")
         vec = probes.streaming_bandwidth_probe(make_memsys(), nbytes=64 * KB)
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        ref = probes.streaming_bandwidth_probe(make_memsys(), nbytes=64 * KB)
+        with tiers.reference():
+            ref = probes.streaming_bandwidth_probe(make_memsys(),
+                                                   nbytes=64 * KB)
         assert vec == ref
 
 
-def test_memoized_replay_matches_fresh_compute(monkeypatch):
-    """Cross-tier memo safety: a point memoized by one tier replays for
-    another only because the tiers are bit-identical — assert the
-    memoized curves equal a fresh memo-less run."""
-    monkeypatch.setenv("REPRO_VECTOR", "1")
+def test_memoized_replay_matches_fresh_compute():
+    """Memo safety: a memoized point replays only because it is
+    bit-identical to a fresh computation — assert the memoized curves
+    equal a fresh memo-less run."""
     clear_probe_memo()
     memoized = probes.local_read_probe(t3d_memory_system(),
                                        sizes=PROBE_SIZES)
@@ -122,3 +114,42 @@ def test_memoized_replay_matches_fresh_compute(monkeypatch):
     clear_probe_memo()
     assert _points(memoized) == _points(fresh)
     assert _points(replayed) == _points(fresh)
+
+
+def _off_grid(make_params, **changes):
+    """A preset node with some unit's cycle values moved off the
+    ``2**-8`` grid the vectorized tier is exact on."""
+    params = make_params()
+    return replace(params, **{unit: replace(getattr(params, unit), **fields)
+                              for unit, fields in changes.items()})
+
+
+#: Machines the probes were not tuned for: each moves one cost off the
+#: exactness grid (or the write buffer off a power-of-two depth).
+OFF_GRID = {
+    "dram-access-22.3": lambda: _off_grid(
+        t3d_node_params, dram={"access_cycles": 22.3}),
+    "write-buffer-3-deep": lambda: _off_grid(
+        t3d_node_params, write_buffer={"entries": 3}),
+    "l1-hit-2.1": lambda: _off_grid(
+        t3d_node_params, l1={"hit_cycles": 2.1}),
+    "workstation-tlb-miss-7.3": lambda: _off_grid(
+        workstation_node_params, tlb={"miss_cycles": 7.3}),
+    "workstation-off-page-0.1": lambda: _off_grid(
+        workstation_node_params, dram={"off_page_cycles": 0.1}),
+}
+
+
+@pytest.mark.parametrize("probe", [probes.local_read_probe,
+                                   probes.local_write_probe],
+                         ids=["read", "write"])
+@pytest.mark.parametrize("machine", list(OFF_GRID))
+def test_off_grid_machines_match_reference(machine, probe):
+    """Off the grid the vectorized tier must decline, not round
+    differently: the default probe equals the reference point for
+    point."""
+    params = OFF_GRID[machine]()
+    got = probe(MemorySystem(params), sizes=PROBE_SIZES, memo_key=None)
+    want = probe(MemorySystem(params), sizes=PROBE_SIZES, sweep_fn=None,
+                 memo_key=None)
+    assert _points(got) == _points(want)

@@ -89,26 +89,27 @@ def test_em3d_all_versions_traced_equals_untraced(tmp_path):
 
 def test_counters_consistent_between_fast_and_reference_compute():
     """Unit counters harvested by ``repro counters`` must not depend on
-    whether the inlined fast compute path ran."""
+    whether the batched fast compute path ran."""
+    from contextlib import nullcontext
+
+    from repro import tiers
     from repro.apps.em3d import kernels
     from repro.params import t3d_machine_params
     from repro.machine.machine import Machine
     from repro.apps.em3d.graph import make_graph
 
     def run_and_harvest(use_fast):
-        old = kernels.USE_FAST_COMPUTE
-        kernels.USE_FAST_COMPUTE = use_fast
-        try:
-            trace.enable()
-            machine = Machine(t3d_machine_params((2, 1, 1)))
-            graph = make_graph(num_pes=2, nodes_per_pe=8, degree=3,
-                               remote_fraction=0.3, seed=5)
-            kernels.run_em3d(machine, graph, "put", steps=1,
-                             warmup_steps=1)
-            merged = trace.TRACER.provider_counters()
-        finally:
-            kernels.USE_FAST_COMPUTE = old
-            trace.disable()
+        with nullcontext() if use_fast else tiers.reference():
+            try:
+                trace.enable()
+                machine = Machine(t3d_machine_params((2, 1, 1)))
+                graph = make_graph(num_pes=2, nodes_per_pe=8, degree=3,
+                                   remote_fraction=0.3, seed=5)
+                kernels.run_em3d(machine, graph, "put", steps=1,
+                                 warmup_steps=1)
+                merged = trace.TRACER.provider_counters()
+            finally:
+                trace.disable()
         return merged
 
     fast = run_and_harvest(True)

@@ -18,6 +18,7 @@ import os
 
 import pytest
 
+from repro import tiers
 from repro.apps.em3d import make_graph, run_em3d
 from repro.machine.machine import Machine
 from repro.network.torus import balanced_torus_shape
@@ -64,7 +65,7 @@ def test_traced_1024_pe_em3d_is_well_formed():
     # Two half-steps per processor (steps=1, warmup=0).
     assert fills.count == 2 * NUM_PES
     assert tracer.counters["barrier_start"].count % NUM_PES == 0
-    if os.environ.get("REPRO_COHORT", "1").strip() != "0":
+    if tiers.fast():
         assert tracer.counters["cohort_round"].count > 0
 
     # The provider harvest spans the whole machine: every per-node

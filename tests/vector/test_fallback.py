@@ -1,22 +1,17 @@
 """Tier-selection and graceful-degradation behavior of repro.vector.
 
-The vectorized tier must never be load-bearing: with ``REPRO_VECTOR=0``,
-with numpy missing, or for any stimulus it does not claim, every probe
-must degrade to the fast or reference tier and produce the same
-numbers.  These tests pin that contract — including the per-family
-claim table, so silently starting (or stopping) to claim a family is a
-visible diff.
+The vectorized tier must never be load-bearing: under the reference
+switch (``REPRO_FAST=0``), or for any stimulus it does not claim, every
+probe must run the reference loop and produce the same numbers.  These
+tests pin that contract — including the per-family claim table, so
+silently starting (or stopping) to claim a family is a visible diff.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
-
 import pytest
 
-from repro import vector
-from repro.microbench import probes
+from repro import tiers, vector
 from repro.microbench.harness import PointSpec, run_stride_point
 from repro.node.memsys import t3d_memory_system
 from repro.vector import UnsupportedStimulus
@@ -24,7 +19,7 @@ from repro.vector import UnsupportedStimulus
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR", raising=False)
+    monkeypatch.delenv(tiers.ENV, raising=False)
 
 
 # ----------------------------------------------------------------------
@@ -50,9 +45,7 @@ def test_claimed_families_pinned():
 
 def test_unknown_family_is_not_claimed():
     assert not vector.claims("no_such_probe")
-    sentinel = object()
-    assert vector.stride_sweep_fn("no_such_probe",
-                                  fallback=sentinel) is sentinel
+    assert vector.stride_sweep_fn("no_such_probe") is None
 
 
 # ----------------------------------------------------------------------
@@ -61,55 +54,16 @@ def test_unknown_family_is_not_claimed():
 
 @pytest.mark.parametrize("value", ["0", "false", "no", "off", "OFF"])
 def test_env_disables_tier(monkeypatch, value):
-    monkeypatch.setenv("REPRO_VECTOR", value)
+    monkeypatch.setenv(tiers.ENV, value)
     assert not vector.enabled()
-    sentinel = object()
     ms = t3d_memory_system()
-    assert vector.stride_sweep_fn("local_read", node_params=ms.params,
-                                  fallback=sentinel) is sentinel
+    assert vector.stride_sweep_fn("local_read",
+                                  node_params=ms.params) is None
     assert vector.streaming_read_total(ms.params, 4096) is None
 
 
 def test_env_enabled_by_default():
-    pytest.importorskip("numpy")
     assert vector.enabled()
-
-
-# ----------------------------------------------------------------------
-# Missing numpy: degrade with a one-line warning, never crash
-# ----------------------------------------------------------------------
-
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Simulate an interpreter without numpy: a ``None`` entry in
-    ``sys.modules`` makes ``import numpy`` raise ImportError."""
-    for name in [m for m in sys.modules if m == "numpy"
-                 or m.startswith("numpy.")]:
-        monkeypatch.setitem(sys.modules, name, None)
-    monkeypatch.setattr(vector, "_warned_missing_numpy", False)
-
-
-def test_missing_numpy_disables_tier(no_numpy):
-    assert not vector.numpy_available()
-    with pytest.warns(RuntimeWarning, match="numpy is not installed"):
-        assert not vector.enabled()
-
-
-def test_missing_numpy_warns_exactly_once(no_numpy):
-    with pytest.warns(RuntimeWarning):
-        vector.enabled()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert not vector.enabled()      # second call: silent
-
-
-def test_missing_numpy_probe_still_runs(no_numpy):
-    """The full probe path works without numpy — it just computes on
-    the fast tier."""
-    ms = t3d_memory_system()
-    with pytest.warns(RuntimeWarning):
-        curves = probes.local_read_probe(ms, sizes=[4096], memo_key=None)
-    assert curves.points
 
 
 # ----------------------------------------------------------------------
@@ -117,24 +71,16 @@ def test_missing_numpy_probe_still_runs(no_numpy):
 # ----------------------------------------------------------------------
 
 def test_unsupported_point_routes_to_fallback():
-    pytest.importorskip("numpy")
+    """The kernel declines a point it cannot express with
+    UnsupportedStimulus (the harness then runs the reference loop) and
+    answers a canonical one."""
     ms = t3d_memory_system()
-    calls = []
-
-    def fallback(base, stride, count, warmup, measure):
-        calls.append((base, stride, count, warmup, measure))
-        return 42.0, count * measure
-
-    sweep = vector.stride_sweep_fn("local_read", node_params=ms.params,
-                                   fallback=fallback)
-    assert sweep is not fallback         # the tier claimed the family
-    # Non-canonical geometry: the kernel declines, the fallback runs.
-    total, count = sweep(0, -8, 4, 1, 2)
-    assert (total, count) == (42.0, 8)
-    assert calls == [(0, -8, 4, 1, 2)]
-    # Canonical geometry: the kernel answers, the fallback stays cold.
-    sweep(0, 8, 4, 1, 2)
-    assert len(calls) == 1
+    sweep = vector.stride_sweep_fn("local_read", node_params=ms.params)
+    assert sweep is not None             # the tier claimed the family
+    with pytest.raises(UnsupportedStimulus):
+        sweep(0, -8, 4, 1, 2)            # non-canonical geometry
+    total, count = sweep(0, 8, 4, 1, 2)
+    assert count == 8 and total > 0
 
 
 def test_harness_falls_back_to_reference_loop():

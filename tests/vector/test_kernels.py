@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.node.cache import Cache
 from repro.node.dram import Dram

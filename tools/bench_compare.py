@@ -28,8 +28,8 @@ the perf gate behind ``make bench-compare``.
   absolute delta a point must also exceed before it counts as a
   regression.
 * ``--tiers`` additionally cross-checks the compute tiers: a small
-  probe subset is run on the vectorized tier and on the fast/reference
-  tiers (``REPRO_VECTOR=0``), and any numeric mismatch counts as a
+  probe subset is run on the vectorized tier and under
+  ``repro.tiers.reference()``, and any numeric mismatch counts as a
   regression.  A perf gate that compares tiered timings is only
   meaningful while the tiers agree bit for bit.
 
@@ -106,19 +106,17 @@ def compare_scaling(base: dict, new: dict, threshold: float,
 
 
 def check_tiers() -> tuple[list[str], list[str]]:
-    """Cross-check the vectorized tier against the lower tiers on a
-    small probe subset; mismatches are regressions."""
-    import os
-
-    from repro import vector
+    """Cross-check the vectorized tier against the reference on a small
+    probe subset; mismatches are regressions."""
+    from repro import tiers, vector
     from repro.machine.machine import Machine
-    from repro.microbench import harness, probes
+    from repro.microbench import probes
     from repro.node.memsys import t3d_memory_system
     from repro.params import t3d_machine_params
 
     if not vector.enabled():
-        return (["  tier cross-check: vectorized tier unavailable "
-                 "(REPRO_VECTOR=0 or no numpy), skipped"], [])
+        return (["  tier cross-check: fast paths off (REPRO_FAST=0), "
+                 "skipped"], [])
 
     kb = 1024
     sizes = [4 * kb, 64 * kb]
@@ -132,31 +130,20 @@ def check_tiers() -> tuple[list[str], list[str]]:
             memo_key=None)),
     ]
     lines, regressions = [], []
-    saved = os.environ.get("REPRO_VECTOR")
-    try:
-        for name, run in subset:
-            harness.clear_probe_memo()
-            os.environ["REPRO_VECTOR"] = "1"
-            vec = [(p.size, p.stride, p.avg_cycles, p.accesses)
+    for name, run in subset:
+        vec = [(p.size, p.stride, p.avg_cycles, p.accesses)
+               for p in run().points]
+        with tiers.reference():
+            ref = [(p.size, p.stride, p.avg_cycles, p.accesses)
                    for p in run().points]
-            harness.clear_probe_memo()
-            os.environ["REPRO_VECTOR"] = "0"
-            low = [(p.size, p.stride, p.avg_cycles, p.accesses)
-                   for p in run().points]
-            harness.clear_probe_memo()
-            if vec == low:
-                lines.append(f"  tier ok   {name}: {len(vec)} points "
-                             "bit-identical")
-            else:
-                bad = sum(1 for a, b in zip(vec, low) if a != b)
-                regressions.append(
-                    f"tier mismatch {name}: {bad}/{len(vec)} points "
-                    "differ between vectorized and fallback tiers")
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_VECTOR", None)
+        if vec == ref:
+            lines.append(f"  tier ok   {name}: {len(vec)} points "
+                         "bit-identical")
         else:
-            os.environ["REPRO_VECTOR"] = saved
+            bad = sum(1 for a, b in zip(vec, ref) if a != b)
+            regressions.append(
+                f"tier mismatch {name}: {bad}/{len(vec)} points "
+                "differ between vectorized and reference tiers")
     return lines, regressions
 
 
