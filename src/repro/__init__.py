@@ -36,6 +36,6 @@ Quick start::
 See README.md, DESIGN.md, docs/ and EXPERIMENTS.md.
 """
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = ["__version__"]

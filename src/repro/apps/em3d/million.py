@@ -1,14 +1,14 @@
 """The million-node-per-PE EM3D capacity point.
 
-The weak-scaling story (ROADMAP item 5) needs an EM3D point whose
-per-processor working set is far beyond any cache — ≥1M graph nodes
-per PE — to show the segment-backed memory tier holds it in bounded
-space.  The regular :func:`~repro.apps.em3d.graph.make_graph` cannot
-get there: it materializes every edge as a Python tuple, ~100 bytes
-each, so 16 PEs x 1M nodes x degree 2 x 2 directions would cost tens
-of gigabytes *before* the simulation starts.  This module replaces the
-generator with a **structured affine graph** written straight into
-flat typed segments:
+A capacity workload needs an EM3D point whose per-processor working
+set is far beyond any cache — ≥1M graph nodes per PE — to show the
+segment-backed memory tier holds it in bounded space.  The regular
+:func:`~repro.apps.em3d.graph.make_graph` cannot get there: it
+materializes every edge as a Python tuple, ~100 bytes each, so 16 PEs
+x 1M nodes x degree 2 x 2 directions would cost tens of gigabytes
+*before* the simulation starts.  This module replaces the generator
+with a **structured affine graph** written straight into flat typed
+segments:
 
 * node ``i``'s ``k``-th neighbor is ``(i * 40503 + k * 2654435761)
   mod n`` — a fixed permutation-ish scatter with no Python-side
@@ -20,17 +20,7 @@ flat typed segments:
   point measures memory capacity and the compute pipeline, not the
   interconnect, which the ordinary weak-scaling curve already covers.
 
-Because every processor holds the *same* structure and values, the
-machine is provably symmetric: processor 0's half-step advances its
-clock by exactly the amount every other processor's would.  With
-``replay=True`` (the capacity configuration) the other processors
-**alias processor 0's segments** (:meth:`WordMemory.adopt_segment`)
-and run barriers only; the fuzzy barrier settles on the last arrival
-(processor 0), so every clock leaves each barrier at the identical
-time an honest run would — one ~72 MB image instead of sixteen.
-``replay=False`` runs every processor honestly; the golden test
-(``tests/apps/test_em3d_million.py``) holds the two modes to identical
-timing and values at a size where the honest run is affordable.
+Every processor builds and computes its own image.
 """
 
 from __future__ import annotations
@@ -63,13 +53,12 @@ class Em3dMillionResult:
     nodes_per_pe: int
     degree: int
     num_pes: int
-    replay: bool
     steps: int
     us_per_edge: float
     cycles_per_edge: float
-    #: Machine-wide backing-store gauge (aliased segments counted once).
+    #: Machine-wide backing-store gauge.
     footprint: dict
-    #: Sum of processor 0's final E values — the cross-mode checksum.
+    #: Sum of processor 0's final E values.
     e_checksum: float
 
 
@@ -91,38 +80,26 @@ def _fill_adjacency(refs, weights, n: int, degree: int,
     weights.fill(0, w / float(_HASH_MOD) * 2.0 - 1.0)
 
 
-def _build_image(mem, layout: dict, n: int, degree: int) -> list:
-    """Allocate and fill one processor image's segments in ``mem``;
-    returns the segment objects (for replay aliasing)."""
+def _build_image(mem, layout: dict, n: int, degree: int) -> None:
+    """Allocate and fill one processor image's segments in ``mem``."""
     nedges = n * degree
-    segs = []
     for kind in ("e", "h"):
         seg = mem.alloc_segment(layout[kind + "_vals"], n, "f8",
                                 VALUE_BYTES)
         mult, off = _INIT[kind]
         _fill_values(seg, n, mult, off)
-        segs.append(seg)
     for kind, vals in (("e", "h_vals"), ("h", "e_vals")):
         base = layout[kind + "_adj"]
         refs = mem.alloc_segment(base, nedges, "i8", 2 * WORD_BYTES)
         weights = mem.alloc_segment(base + WORD_BYTES, nedges, "f8",
                                     2 * WORD_BYTES)
         _fill_adjacency(refs, weights, n, degree, layout[vals])
-        segs.extend((refs, weights))
-    return segs
 
 
 def run_em3d_million(machine, nodes_per_pe: int, degree: int = 2,
-                     steps: int = 1, warmup_steps: int = 1,
-                     replay: bool = True) -> Em3dMillionResult:
-    """Run the all-local capacity point; the machine must be fresh.
-
-    ``replay=True`` holds one shared image (processor 0 computes, the
-    rest alias its segments and synchronize); ``replay=False`` is the
-    honest mode every processor computes in — identical results by the
-    symmetry argument in the module docstring, golden-tested at small
-    sizes where the honest memory cost is affordable.
-    """
+                     steps: int = 1,
+                     warmup_steps: int = 1) -> Em3dMillionResult:
+    """Run the all-local capacity point; the machine must be fresh."""
     if nodes_per_pe < 1 or degree < 1:
         raise ValueError("nodes_per_pe and degree must be positive")
     n = nodes_per_pe
@@ -133,15 +110,8 @@ def run_em3d_million(machine, nodes_per_pe: int, degree: int = 2,
         "e_adj": machine.symmetric_alloc(nedges * 2 * WORD_BYTES),
         "h_adj": machine.symmetric_alloc(nedges * 2 * WORD_BYTES),
     }
-    mem0 = machine.node(0).memsys.memory
-    image = _build_image(mem0, layout, n, degree)
-    for pe in range(1, machine.num_nodes):
-        mem = machine.node(pe).memsys.memory
-        if replay:
-            for seg in image:
-                mem.adopt_segment(seg)
-        else:
-            _build_image(mem, layout, n, degree)
+    for node in machine.nodes:
+        _build_image(node.memsys.memory, layout, n, degree)
 
     def half_step(ctx, direction: str) -> None:
         compute_rows(ctx, n, degree, layout[direction + "_adj"],
@@ -149,18 +119,15 @@ def run_em3d_million(machine, nodes_per_pe: int, degree: int = 2,
 
     def program(sc):
         ctx = sc.ctx
-        honest = not replay or sc.my_pe == 0
         for _ in range(warmup_steps):
             for direction in ("e", "h"):
-                if honest:
-                    half_step(ctx, direction)
+                half_step(ctx, direction)
                 yield from sc.barrier()
         yield from sc.barrier()
         start = ctx.clock
         for _ in range(steps):
             for direction in ("e", "h"):
-                if honest:
-                    half_step(ctx, direction)
+                half_step(ctx, direction)
                 yield from sc.barrier()
         elapsed = ctx.clock - start
         ctx.memory_barrier()
@@ -173,7 +140,7 @@ def run_em3d_million(machine, nodes_per_pe: int, degree: int = 2,
     checksum = float(ev.np_view()[:n].sum())
     return Em3dMillionResult(
         nodes_per_pe=n, degree=degree, num_pes=machine.num_nodes,
-        replay=replay, steps=steps,
+        steps=steps,
         us_per_edge=cycles_per_edge * CYCLE_NS / 1000.0,
         cycles_per_edge=cycles_per_edge,
         footprint=machine.memory_footprint(),

@@ -15,14 +15,6 @@ Commands:
   (optionally also a Chrome trace for ``chrome://tracing``).
 * ``counters EXPERIMENT [--quick]`` — run one experiment traced and
   print the per-primitive event/counter summary.
-* ``models list`` — the registered analytic surrogate models.
-* ``models fit [--quick] [--strict] [-o FILE]`` — calibrate every
-  model against the simulator and write the fitted-parameter artifact.
-* ``models predict MODEL feature=value...`` — O(1) serving tier:
-  evaluate one fitted closed form at a stimulus point, no simulation.
-* ``models report [--check] [--refit] [-o FILE]`` — simulated-vs-
-  predicted tables; ``--check`` is the calibrate-check gate (exit
-  nonzero when committed parameters miss their recorded MAPE).
 """
 
 from __future__ import annotations
@@ -35,8 +27,6 @@ __all__ = ["build_parser", "main"]
 
 def _cmd_experiments(args) -> int:
     if args.reference:
-        # The environment switch reaches sweep-engine workers too, and
-        # the result cache is bypassed while it is on.
         from repro import tiers
         with tiers.reference():
             return _write_experiments(args)
@@ -44,17 +34,14 @@ def _cmd_experiments(args) -> int:
 
 
 def _write_experiments(args) -> int:
-    use_cache = False if args.no_cache else None
     if args.json:
         import json
 
         from repro.reporting.experiments import generate_json
-        text = json.dumps(generate_json(quick=args.quick, jobs=args.jobs,
-                                        use_cache=use_cache), indent=2)
+        text = json.dumps(generate_json(quick=args.quick), indent=2)
     else:
         from repro.reporting.experiments import generate_markdown
-        text = generate_markdown(quick=args.quick, jobs=args.jobs,
-                                 use_cache=use_cache)
+        text = generate_markdown(quick=args.quick)
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(text)
@@ -125,9 +112,9 @@ def _cmd_series(args) -> int:
 def _cmd_bench(args) -> int:
     """Run one named experiment under cProfile and print the hotspots.
 
-    This is the perf-trajectory companion to ``make bench``: when a
-    benchmark regresses, ``repro bench <experiment>`` shows where the
-    cycles went without any pytest machinery in the profile.
+    This is the profiling companion to the cold benchmark
+    (``python3 -m bench``): when a workload regresses, ``repro bench
+    <experiment>`` shows where the host time went.
     """
     import cProfile
     import pstats
@@ -188,102 +175,6 @@ def _cmd_counters(args) -> int:
     return 0
 
 
-def _cmd_models_list(args) -> int:
-    from repro.models import all_models
-    for model in all_models():
-        print(f"{model.name:<24} {model.units:>8}  "
-              f"{len(model.param_specs)} params  "
-              f"gate {model.target_mape:.1f}%  [{model.figure}] "
-              f"{model.title}")
-    return 0
-
-
-def _cmd_models_fit(args) -> int:
-    from repro.models import all_models, save_artifact
-    from repro.models.calibrate import CalibrationError, calibrate_models
-    use_cache = False if args.no_cache else None
-    try:
-        results = calibrate_models(all_models(), quick=args.quick,
-                                   jobs=args.jobs, use_cache=use_cache,
-                                   strict=args.strict)
-    except CalibrationError as exc:
-        print(f"calibration failed: {exc}", file=sys.stderr)
-        return 1
-    for result in results:
-        print(result.describe())
-    path = save_artifact(results, path=args.output, quick=args.quick)
-    print(f"wrote {path}")
-    return 0 if all(r.ok for r in results) else 1
-
-
-def _cmd_models_predict(args) -> int:
-    from repro.models import artifact_results, get_model, load_artifact
-    try:
-        model = get_model(args.model)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 1
-    payload = load_artifact(args.artifact)
-    fitted = {r.model: r for r in artifact_results(payload)}
-    if args.model not in fitted:
-        print(f"artifact has no fit for {args.model!r}", file=sys.stderr)
-        return 1
-    point = {}
-    for pair in args.features:
-        name, _, raw = pair.partition("=")
-        if not _:
-            print(f"feature {pair!r} is not name=value", file=sys.stderr)
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        point[name] = value
-    missing = [n for n in model.feature_names if n not in point]
-    if missing:
-        print(f"{args.model} needs features "
-              f"{list(model.feature_names)}; missing {missing}",
-              file=sys.stderr)
-        return 1
-    predicted = model.predict(fitted[args.model].params, model.machine,
-                              point)
-    print(f"{predicted:.4f} {model.units}")
-    return 0
-
-
-def _cmd_models_report(args) -> int:
-    from repro.reporting.models import check_artifact, generate_markdown
-    use_cache = False if args.no_cache else None
-    if args.check:
-        results, failures = check_artifact(path=args.artifact,
-                                           quick=args.quick,
-                                           jobs=args.jobs,
-                                           use_cache=use_cache)
-        for result in results:
-            print(result.describe())
-        if failures:
-            print(f"calibrate-check: {len(failures)} model(s) no "
-                  f"longer meet their recorded MAPE gate — the "
-                  f"simulator's behavior has drifted since the fit",
-                  file=sys.stderr)
-            return 1
-        print("calibrate-check: committed parameters still fit")
-        return 0
-    text = generate_markdown(quick=args.quick, jobs=args.jobs,
-                             use_cache=use_cache, artifact=args.artifact,
-                             refit=args.refit)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argparse tree (exposed for docs-integrity tests)."""
     parser = argparse.ArgumentParser(
@@ -299,16 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit machine-readable JSON instead of markdown")
     p.add_argument("-o", "--output", default=None,
                    help="write to a file instead of stdout")
-    p.add_argument("-j", "--jobs", type=int, default=None,
-                   help="experiment fan-out processes (default: "
-                        "$REPRO_JOBS, else 1 = serial; 0 = all cores)")
     p.add_argument("--reference", action="store_true",
                    help="run every layer's reference model (no fast "
-                        "path, no result cache); equivalent to "
-                        "REPRO_FAST=0")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore the persistent result cache and "
-                        "recompute every experiment")
+                        "path); equivalent to REPRO_FAST=0")
     p.set_defaults(func=_cmd_experiments)
 
     p = sub.add_parser("headlines", help="print headline latencies")
@@ -360,65 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="reduced problem sizes")
     p.set_defaults(func=_cmd_counters)
-
-    p = sub.add_parser("models",
-                       help="analytic surrogate models: fit, serve, "
-                            "and regression-check")
-    msub = p.add_subparsers(dest="models_command", required=True)
-
-    m = msub.add_parser("list", help="print the model registry")
-    m.set_defaults(func=_cmd_models_list)
-
-    m = msub.add_parser("fit",
-                        help="calibrate every model and write the "
-                             "fitted-parameter artifact")
-    m.add_argument("--quick", action="store_true",
-                   help="reduced calibration sweeps")
-    m.add_argument("--strict", action="store_true",
-                   help="raise on the first MAPE-gate miss instead of "
-                        "recording it")
-    m.add_argument("-j", "--jobs", type=int, default=None,
-                   help="observation fan-out processes (default: "
-                        "$REPRO_JOBS, else 1 = serial; 0 = all cores)")
-    m.add_argument("--no-cache", action="store_true",
-                   help="ignore the persistent result cache")
-    m.add_argument("-o", "--output", default=None,
-                   help="artifact path (default FITTED_MODELS.json "
-                        "at the repo root)")
-    m.set_defaults(func=_cmd_models_fit)
-
-    m = msub.add_parser("predict",
-                        help="evaluate one fitted model at a stimulus "
-                             "point (O(1), no simulation)")
-    m.add_argument("model", help="registry name, e.g. fig1_local_read")
-    m.add_argument("features", nargs="*", metavar="name=value",
-                   help="stimulus features, e.g. size=65536 stride=64")
-    m.add_argument("--artifact", default=None,
-                   help="fitted-parameter artifact to read "
-                        "(default FITTED_MODELS.json)")
-    m.set_defaults(func=_cmd_models_predict)
-
-    m = msub.add_parser("report",
-                        help="simulated-vs-predicted tables with "
-                             "per-model MAPE")
-    m.add_argument("--quick", action="store_true",
-                   help="reduced observation sweeps")
-    m.add_argument("--refit", action="store_true",
-                   help="calibrate from scratch instead of "
-                        "re-evaluating the committed artifact")
-    m.add_argument("--check", action="store_true",
-                   help="calibrate-check gate: exit nonzero when "
-                        "committed parameters miss their recorded "
-                        "MAPE target against the current simulator")
-    m.add_argument("-j", "--jobs", type=int, default=None,
-                   help="observation fan-out processes")
-    m.add_argument("--no-cache", action="store_true",
-                   help="ignore the persistent result cache")
-    m.add_argument("--artifact", default=None,
-                   help="fitted-parameter artifact to read")
-    m.add_argument("-o", "--output", default=None,
-                   help="write the markdown report to a file")
-    m.set_defaults(func=_cmd_models_report)
 
     return parser
 

@@ -93,22 +93,14 @@ class Machine:
     def memory_footprint(self) -> dict:
         """Machine-wide backing-store gauge for bench metadata: words
         reserved (dict + segment capacity) and segment buffer bytes.
-        Aliased segments (replayed symmetric PEs sharing one buffer)
-        are counted once.
         """
         dict_words = 0
         seg_words = 0
-        seg_bytes = 0
-        seen: set[int] = set()
         for node in self.nodes:
             mem = node.memsys.memory
             dict_words += len(mem._words)
-            for seg in mem.segments:
-                if id(seg) in seen:
-                    continue
-                seen.add(id(seg))
-                seg_words += seg.nwords
-                seg_bytes += seg.nwords * 9
+            seg_words += sum(seg.nwords for seg in mem.segments)
+        seg_bytes = seg_words * 9
         return {
             "dict_words": dict_words,
             "segment_words": seg_words,

@@ -121,8 +121,8 @@ def default_strides(size: int, lo: int = 8) -> list[int]:
 @dataclass(frozen=True)
 class PointSpec:
     """One (size, stride) stimulus, fully resolved: ``naccesses`` is
-    the capped per-pass access count.  Picklable, hashable — the unit
-    the parallel sweep engine shards and the point memo keys."""
+    the capped per-pass access count.  Hashable — the unit the point
+    memo keys."""
 
     size: int
     stride: int
@@ -136,9 +136,7 @@ def stride_point_specs(sizes=None, strides_fn=None, *,
 
     This is the whole stimulus of :func:`run_stride_probe`, reified:
     each spec is independent of every other (the probe cold-starts
-    state per point), so callers may run the list in any partition —
-    serially, sharded across processes, or replayed from a cache — and
-    concatenate results in list order to reproduce the serial sweep.
+    state per point), so any point can be measured on its own.
     """
     sizes = sizes if sizes is not None else default_sizes()
     strides_fn = strides_fn if strides_fn is not None else default_strides

@@ -12,11 +12,7 @@ from dataclasses import dataclass
 
 from repro.machine.machine import Machine
 from repro.microbench.harness import LatencyCurves, run_stride_probe
-from repro.node.memsys import (
-    MemorySystem,
-    t3d_memory_system,
-    workstation_memory_system,
-)
+from repro.node.memsys import MemorySystem
 from repro.params import CYCLE_NS, WORD_BYTES, mb_per_s
 from repro.splitc import bulk
 from repro.splitc.gptr import GlobalPtr
@@ -41,8 +37,6 @@ __all__ = [
     "measure_headlines",
     "network_hop_probe",
     "streaming_bandwidth_probe",
-    "STRIDE_PROBES",
-    "run_named_stride_probe",
 ]
 
 KB = 1024
@@ -185,64 +179,6 @@ def nonblocking_write_probe(machine: Machine | None = None,
     kwargs.setdefault("memo_key",
                       ("nonblocking_write", mechanism, machine.params))
     return run_stride_probe(access, reset_fn=reset, **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Named stride probes: the picklable spelling of the sweeps above
-# ----------------------------------------------------------------------
-
-#: Probe name -> valid mechanisms (empty for the local probes, which
-#: take a ``system`` instead).  The names — not machine or closure
-#: objects — are what the parallel sweep engine pickles into pool
-#: workers; :func:`run_named_stride_probe` reconstructs the machines
-#: on the worker side from the same frozen parameter constructors the
-#: serial path uses.
-STRIDE_PROBES = {
-    "local_read": (),
-    "local_write": (),
-    "remote_read": ("uncached", "cached", "splitc"),
-    "remote_write": ("blocking", "splitc"),
-    "nonblocking_write": ("store", "splitc"),
-}
-
-
-def run_named_stride_probe(probe: str, mechanism: str = "",
-                           system: str = "t3d", sizes=None,
-                           min_footprint: int = 0) -> LatencyCurves:
-    """Run a stride probe described entirely by picklable values.
-
-    ``probe`` names the sweep (:data:`STRIDE_PROBES`); for the local
-    probes ``system`` selects the modeled machine (``"t3d"`` or
-    ``"workstation"``), for the remote ones ``mechanism`` selects the
-    access flavor.  Results are identical to calling the probe
-    function directly with the same sizes, because this *is* that
-    call, behind a spelling a pool worker can receive.
-    """
-    if probe not in STRIDE_PROBES:
-        raise ValueError(f"unknown stride probe {probe!r}; choose from "
-                         f"{sorted(STRIDE_PROBES)}")
-    if probe in ("local_read", "local_write"):
-        if system == "t3d":
-            memsys = t3d_memory_system()
-        elif system == "workstation":
-            memsys = workstation_memory_system()
-        else:
-            raise ValueError(f"unknown system {system!r}")
-        fn = local_read_probe if probe == "local_read" else local_write_probe
-        return fn(memsys, sizes=sizes, min_footprint=min_footprint)
-    fn = {"remote_read": remote_read_probe,
-          "remote_write": remote_write_probe,
-          "nonblocking_write": nonblocking_write_probe}[probe]
-    mechanisms = STRIDE_PROBES[probe]
-    if mechanism not in mechanisms:
-        raise ValueError(f"{probe} mechanism must be one of "
-                         f"{mechanisms}, got {mechanism!r}")
-    kwargs = {"mechanism": mechanism}
-    if sizes is not None:
-        kwargs["sizes"] = sizes
-    if min_footprint:
-        kwargs["min_footprint"] = min_footprint
-    return fn(**kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -236,18 +236,8 @@ class WordMemory:
             raise ValueError("segment stride must be whole words")
         if kind not in _KINDS:
             raise ValueError(f"unknown segment kind {kind!r}")
-        return self.adopt_segment(Segment(addr, nwords, kind, stride_bytes))
-
-    def adopt_segment(self, seg: Segment) -> Segment:
-        """Register an existing :class:`Segment` — possibly one already
-        owned by *another* node's memory, in which case the two nodes
-        alias the same buffer.  Provably-symmetric replay workloads
-        (``repro.apps.em3d.million``) use this to hold one copy of a
-        structurally identical per-PE field instead of ``num_pes``.
-        """
-        addr = seg.base
+        seg = Segment(addr, nwords, kind, stride_bytes)
         end = addr + seg.limit
-        stride_bytes = seg.stride
         for other in self._segments:
             other_end = other.base + other.limit
             if addr <= other_end and other.base <= end \

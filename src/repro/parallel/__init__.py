@@ -1,30 +1,14 @@
-"""Parallel sweep engine: experiment fan-out and the result cache.
+"""No result cache: every simulated number is computed fresh.
 
-Every figure and table in the paper is a sweep over *independent*
-probe points — stride curves, bandwidth tables, EM3D version ladders —
-so the reproduction can shard them across a process pool and replay
-already-computed shards from a persistent on-disk cache without
-changing a single number:
-
-* :class:`~repro.parallel.executor.SweepExecutor` — shards picklable
-  tasks across a ``ProcessPoolExecutor`` and merges results in task
-  order, so parallel output is bit-identical to serial output;
-* :mod:`~repro.parallel.cache` — the content-addressed result cache
-  (keyed by a digest of the model source tree plus the task's full
-  parameter spec) that lets repeated ``repro experiments`` and pytest
-  runs skip sweeps they have already computed;
-* :mod:`~repro.parallel.tasks` — the picklable task vocabulary
-  (stride probes, bulk-bandwidth tables, EM3D sweep points, whole
-  experiments) the executor and the cache both speak.
-
-Knobs: ``repro experiments --jobs N | --no-cache``, the ``REPRO_JOBS``
-/ ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` environment variables (honored
-by ``make bench``), and ``jobs=1`` for the serial in-process path when
-debugging or tracing.  See ``docs/performance.md``.
+``repro experiments`` and the figure sweeps run serially in-process,
+and nothing is replayed from disk.  :func:`cache_stats` remains so a
+cold benchmark can read proof of that: it always reports zero hits,
+misses and stores.
 """
 
-from repro.parallel.cache import ResultCache, cache_enabled, cache_stats
-from repro.parallel.executor import SweepExecutor, resolve_jobs
+__all__ = ["cache_stats"]
 
-__all__ = ["ResultCache", "SweepExecutor", "cache_enabled",
-           "cache_stats", "resolve_jobs"]
+
+def cache_stats() -> dict:
+    """``{"hits": 0, "misses": 0, "stores": 0}`` — there is no cache."""
+    return {"hits": 0, "misses": 0, "stores": 0}

@@ -6,9 +6,9 @@ against the simulator; running one returns comparison rows
 notes.  :func:`generate_markdown` runs everything and renders the
 EXPERIMENTS.md document.
 
-The same measurements back the pytest benchmarks (``benchmarks/``);
-this module exists so a user can regenerate the record with one
-command:  ``python -m repro experiments``.
+``tests/paper/test_experiments_record.py`` pins the committed record
+to a fresh run; this module exists so a user can regenerate it with
+one command:  ``python -m repro experiments``.
 """
 
 from __future__ import annotations
@@ -282,37 +282,18 @@ def all_experiments() -> list[Experiment]:
     ]
 
 
-def run_all(quick: bool = False, jobs: int | None = None,
-            use_cache: bool | None = None):
-    """Run everything; returns ``[(experiment, rows, notes), ...]``.
-
-    Experiments are independent, so they fan out through the parallel
-    sweep engine: ``jobs`` shards them across a process pool (default:
-    the ``REPRO_JOBS`` environment knob, else serial in-process), and
-    the persistent result cache replays experiments whose (source,
-    parameters) digest has been computed before (``use_cache=False``
-    or ``REPRO_CACHE=0`` forces fresh runs).  Merge order is the
-    registry order either way, so output is identical to the serial
-    loop this replaces.
-    """
-    from repro.parallel.executor import SweepExecutor
-    from repro.parallel.tasks import ExperimentTask
-    experiments = all_experiments()
-    executor = SweepExecutor(jobs=jobs, use_cache=use_cache)
-    results = executor.run_tasks(
-        [ExperimentTask(exp_id=e.exp_id, quick=quick)
-         for e in experiments])
-    return [(experiment, rows, notes)
-            for experiment, (rows, notes) in zip(experiments, results)]
+def run_all(quick: bool = False):
+    """Run everything, serially and in registry order; returns
+    ``[(experiment, rows, notes), ...]``."""
+    return [(experiment, *experiment.run(quick))
+            for experiment in all_experiments()]
 
 
-def generate_json(quick: bool = False, jobs: int | None = None,
-                  use_cache: bool | None = None) -> list:
+def generate_json(quick: bool = False) -> list:
     """Machine-readable record: one object per experiment, with
     comparison rows and notes."""
     out = []
-    for experiment, rows, notes in run_all(quick, jobs=jobs,
-                                           use_cache=use_cache):
+    for experiment, rows, notes in run_all(quick):
         out.append({
             "id": experiment.exp_id,
             "title": experiment.title,
@@ -329,8 +310,7 @@ def generate_json(quick: bool = False, jobs: int | None = None,
     return out
 
 
-def generate_markdown(quick: bool = False, jobs: int | None = None,
-                      use_cache: bool | None = None) -> str:
+def generate_markdown(quick: bool = False) -> str:
     """Render the EXPERIMENTS.md document from live runs."""
     lines = [
         "# EXPERIMENTS — paper vs. measured",
@@ -348,8 +328,7 @@ def generate_markdown(quick: bool = False, jobs: int | None = None,
         "mechanism rankings) holds.",
         "",
     ]
-    for experiment, rows, notes in run_all(quick, jobs=jobs,
-                                           use_cache=use_cache):
+    for experiment, rows, notes in run_all(quick):
         lines.append(f"## {experiment.exp_id}: {experiment.title} "
                      f"(section {experiment.section})")
         lines.append("")

@@ -10,8 +10,8 @@ transfers and BLT copies.  :func:`fast` says whether those fast paths
 run; :func:`reference` turns them all off at once.
 
 The state is the ``REPRO_FAST`` environment variable (default on;
-``0``/``false``/``no``/``off`` selects the reference), so pool workers
-of the sweep engine inherit it.  Callers read :func:`fast` once per
+``0``/``false``/``no``/``off`` selects the reference), so child
+processes inherit it.  Callers read :func:`fast` once per
 probe build, transfer, compute phase, fill, exchange or run — never
 per simulated access.
 """

