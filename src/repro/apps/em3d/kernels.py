@@ -22,9 +22,10 @@ reach the compute loop:
 
 The compute phase walks a real adjacency array resident in simulated
 memory — two words (value address, weight) per edge — so its cost
-includes the cache misses of streaming a >8 KB structure, which is
-what makes the paper's all-local 0.37 microseconds/edge come out of
-the model rather than being pasted in.
+includes the cache misses of streaming a >8 KB structure rather than a
+pasted-in per-edge constant.  The model gives an all-local floor of
+about 0.23 microseconds/edge against the paper's 0.37; EXPERIMENTS.md's
+"Known deviations" records the gap.
 """
 
 from __future__ import annotations
@@ -220,13 +221,11 @@ def _reference_rows(ctx, r0, r1, degree, adj_base, out_base,
 def _planned_rows(ctx, r0, r1, degree, adj_base, out_base,
                   per_edge_overhead, simple_sc) -> bool:
     """Rows ``r0 .. r1-1`` through the batched plan; False (nothing
-    done) when the plan or a gather declines.
+    done) when the plan, a gather or the remote reads decline.
 
-    The row walk adds each row's cycles and pushes its store; sums are
-    formed one column at a time, the reference loop's float order.  The
-    "simple" version walks edge by edge with the reference loop's clock
-    arithmetic, because its remote edges call the runtime's read
-    mid-row (uncached reads touch no local cache or DRAM state).
+    Sums are formed one column at a time, the reference loop's float
+    order.  The "simple" version's remote edges are planned with
+    :meth:`SplitC.plan_reads` and their cycles added to their rows.
     """
     memsys = ctx.node.memsys
     rows = r1 - r0
@@ -237,86 +236,66 @@ def _planned_rows(ctx, r0, r1, degree, adj_base, out_base,
     if refs is None or weights is None:
         return False
     if simple_sc is None:
-        loads = np.stack((adj, adj + WORD_BYTES, refs), axis=1)
-        per_row = 3 * degree
-        values = memsys.gather(refs, "f8")
+        pes, addrs, local = None, refs, np.ones(nedges, dtype=bool)
+    elif simple_sc.trace is not None:
+        return False                   # span traces record every read
     else:
-        local = (refs >> GPTR_PE_SHIFT) == ctx.pe
-        if simple_sc.plan.read_mechanism == "cached" and not local.all():
-            return False
-        loads = np.stack((adj, adj + WORD_BYTES, refs & GPTR_ADDR_MASK),
-                         axis=1)
-        keep = np.ones(loads.shape, dtype=bool)
-        keep[:, 2] = local
-        loads = loads[keep]
-        per_row = 2 * degree + local.reshape(rows, degree).sum(axis=1)
-        values = memsys.gather(refs[local] & GPTR_ADDR_MASK, "f8")
-    if values is None:
+        pes, addrs = refs >> GPTR_PE_SHIFT, refs & GPTR_ADDR_MASK
+        local = pes == ctx.pe
+    keep = np.ones((nedges, 3), dtype=bool)
+    keep[:, 2] = local
+    loads = np.stack((adj, adj + WORD_BYTES, addrs), axis=1)[keep]
+    per_row = 2 * degree + local.reshape(rows, degree).sum(axis=1)
+    values = np.empty(nedges)
+    local_values = memsys.gather(addrs[local], "f8")
+    if local_values is None:
         return False
+    values[local] = local_values
+    remote = np.flatnonzero(~local)
+    row_extra = reads = None
+    if len(remote):
+        reads = simple_sc.plan_reads(pes[remote], addrs[remote])
+        if reads is None:
+            return False
+        values[remote] = reads.values
+        row_extra = np.bincount(remote // degree, weights=reads.cycles,
+                                minlength=rows)
+    weights = weights.reshape(rows, degree)
+    values = values.reshape(rows, degree)
+    acc = np.zeros(rows)
+    for d in range(degree):
+        acc += weights[:, d] * values[:, d]
     stores = out_base + (r0 + np.arange(rows)) * VALUE_BYTES
     flop = ctx.node.alpha.flop_pair()
-    plan = memsys.plan_block(ctx.clock, loads.ravel(), stores, per_row,
-                             (flop, per_edge_overhead) * degree)
+    plan = memsys.plan_block(ctx.clock, loads, stores, per_row,
+                             (flop, per_edge_overhead) * degree,
+                             values=acc, row_extra=row_extra)
     if plan is None:
         return False
-    push = memsys.write_buffer.push_new
-    clock = ctx.clock
-    if simple_sc is None:
-        weights = weights.reshape(rows, degree)
-        values = values.reshape(rows, degree)
-        acc = np.zeros(rows)
-        for d in range(degree):
-            acc += weights[:, d] * values[:, d]
-        for addr, value, cycles, drain in zip(
-                stores.tolist(), acc.tolist(), plan.row_cycles.tolist(),
-                plan.drains.tolist()):
-            clock += cycles
-            clock += push(clock, addr, value, drain)
-        ctx.clock = clock
-        return True
-    cycles = iter(plan.load_cycles.tolist())
-    local_values = iter(values.tolist())
-    edges = iter(zip(refs.tolist(), weights.tolist(), local.tolist()))
-    record = simple_sc.stats.record
-    trace = simple_sc.trace
-    for addr, drain in zip(stores.tolist(), plan.drains.tolist()):
-        acc = 0.0
-        for _ in range(degree):
-            ref, weight, is_local = next(edges)
-            clock += next(cycles)
-            clock += next(cycles)
-            if is_local:
-                # runtime.read's local branch: the load, then its record.
-                before = clock
-                clock += next(cycles)
-                value = next(local_values)
-                record("read (local)", clock - before)
-                if trace is not None:
-                    trace.add("read (local)", before, clock)
-            else:
-                ctx.clock = clock
-                value = simple_sc.read_from(ref >> GPTR_PE_SHIFT,
-                                            ref & GPTR_ADDR_MASK)
-                clock = ctx.clock
-            acc += weight * value
-            clock += flop
-            clock += per_edge_overhead
-        clock += push(clock, addr, acc, drain)
-    ctx.clock = clock
+    ctx.clock = plan.end_clock
+    if simple_sc is not None:
+        # runtime.read's local branch records each local load; the op
+        # seen first in the block is recorded first, as the loop would.
+        value_loads = (np.cumsum(keep.ravel()) - 1).reshape(nedges, 3)
+        nlocal = nedges - len(remote)
+        if reads is not None and not local[0]:
+            reads.commit()
+        if nlocal:
+            simple_sc.stats.add("read (local)", nlocal, float(
+                plan.load_cycles[value_loads[local, 2]].sum()))
+        if reads is not None and local[0]:
+            reads.commit()
     return True
 
 
 def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
     """Fill ghosts with blocking reads (bundle/unroll) or gets.
 
-    The blocking-read loop has a fast path with ``read_from``'s remote
-    branch inlined: the same Annex set-up, uncached read, and extra-
-    cycle charges in the same order — only the per-element Python call
-    chain (``read_from`` -> ``_setup_annex`` -> ``charge`` x2 ->
-    ``_record``) is flattened and its attribute lookups hoisted out of
-    the loop.  Sources in a ghost plan are always remote and the read
-    mechanism must be the adopted uncached one; the cached-read
-    ablation and span-traced runs take the generic path.
+    Blocking reads run a block at a time as :meth:`SplitC.plan_reads`
+    then a load-free :meth:`MemorySystem.plan_block` of the ghost
+    stores.  A block that either plan declines, and every block under
+    :func:`repro.tiers.reference`, runs ``read_from`` and
+    ``local_write`` per element.
     """
     ctx = sc.ctx
     plan = graph.e_plan if direction == "e" else graph.h_plan
@@ -324,49 +303,34 @@ def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
     ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
     me = sc.my_pe
     slots = plan.ghost_slot[me]
-    local_write = ctx.local_write
     start_clock = ctx.clock if _trace.TRACE_ENABLED else 0.0
-    filled = 0
-    fast = (tiers.fast() and not use_get and sc.trace is None
-            and sc.plan.read_mechanism != "cached")
-    if fast:
-        annex = ctx.node.annex
-        annex_setup = sc.annex_policy.setup
-        uncached_read = ctx.node.remote.uncached_read
-        read_extra = ctx.node.params.shell.remote.splitc_read_extra_cycles
-        record_stat = sc.stats.record
-        rec = None
-    for src in sorted(plan.needed[me]):
-        for idx in plan.needed[me][src]:
-            slot = slots[(src, idx)]
-            if use_get:
-                sc.get_from(src, vals + idx * VALUE_BYTES,
-                            ghosts + slot * VALUE_BYTES)
-            elif fast:
-                before = ctx.clock
-                _index, cyc = annex_setup(annex, src)
-                clock = before + cyc
-                cycles, value = uncached_read(clock, src,
-                                              vals + idx * VALUE_BYTES)
-                ctx.clock = clock + cycles + read_extra
-                if rec is None:
-                    record_stat("read (remote)", ctx.clock - before)
-                    rec = sc.stats.ops["read (remote)"]
-                else:
-                    rec.count += 1
-                    rec.cycles += ctx.clock - before
-                local_write(ghosts + slot * VALUE_BYTES, value)
-            else:
-                value = sc.read_from(src, vals + idx * VALUE_BYTES)
-                local_write(ghosts + slot * VALUE_BYTES, value)
-            filled += 1
+    fills = [(src, vals + idx * VALUE_BYTES,
+              ghosts + slots[(src, idx)] * VALUE_BYTES)
+             for src in sorted(plan.needed[me])
+             for idx in plan.needed[me][src]]
     if use_get:
+        for src, addr, ghost in fills:
+            sc.get_from(src, addr, ghost)
         sc.sync()
+    else:
+        fast = tiers.fast()
+        for k0 in range(0, len(fills), _BLOCK_EDGES):
+            block = np.array(fills[k0:k0 + _BLOCK_EDGES], dtype=np.int64)
+            reads = fast and sc.plan_reads(block[:, 0], block[:, 1])
+            stores = reads and ctx.node.memsys.plan_block(
+                ctx.clock, block[:0, 0], block[:, 2], 0,
+                values=reads.values, row_extra=reads.cycles)
+            if stores:
+                reads.commit()
+                ctx.clock = stores.end_clock
+                continue
+            for src, addr, ghost in fills[k0:k0 + _BLOCK_EDGES]:
+                ctx.local_write(ghost, sc.read_from(src, addr))
     if _trace.TRACE_ENABLED:
         _trace.emit("annex_ghost_fill", t=start_clock, pe=me,
                     direction=direction,
                     mechanism="get" if use_get else "read",
-                    count=filled, cycles=sc.ctx.clock - start_clock)
+                    count=len(fills), cycles=sc.ctx.clock - start_clock)
 
 
 def _ghost_fill_puts(sc, graph, layout, direction: str):

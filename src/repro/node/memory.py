@@ -381,18 +381,28 @@ class WordMemory:
         """Store every ``word_addr: value`` of ``words`` (word-aligned
         keys), leaving memory as :meth:`store` in the dict's order
         would: one dict update off the segments, one
-        :meth:`store_range` for a contiguous run."""
+        :meth:`store_range` for a contiguous run, one
+        :meth:`Segment.fill` for a run on one segment's stride lattice."""
         lo, hi = min(words), max(words)
         nwords = len(words)
         if self._unsegmented(lo, (hi - lo) // WORD_BYTES + 1):
             self._words.update(words)
-        elif hi - lo == (nwords - 1) * WORD_BYTES:
+            return
+        if hi - lo == (nwords - 1) * WORD_BYTES:
             self.store_range(lo, list(map(
                 words.__getitem__, range(lo, hi + WORD_BYTES, WORD_BYTES))))
-        else:
-            store = self.store
-            for w, value in words.items():
-                store(w, value)
+            return
+        seg = self.segment_at(lo)
+        if (seg is not None and hi - lo == (nwords - 1) * seg.stride
+                and hi - seg.base <= seg.limit):
+            values = list(map(words.get, range(lo, hi + 1, seg.stride),
+                              repeat(_MISSING)))
+            if _MISSING not in values:
+                seg.fill((lo - seg.base) // seg.stride, values)
+                return
+        store = self.store
+        for w, value in words.items():
+            store(w, value)
 
     def load_stride(self, addr: int, stride_bytes: int, nwords: int) -> list:
         """Load ``nwords`` words at ``addr, addr + stride, ...``.
@@ -421,18 +431,20 @@ class WordMemory:
             for a in range(addr, addr + nwords * stride_bytes, stride_bytes)
         ]
 
-    def gather(self, addrs, kind: str = "f8", overlay=None):
+    def gather(self, addrs, kind: str = "f8", overlay=None,
+               written: bool = False):
         """Load the words containing each of ``addrs`` (an int64 numpy
         array) as one numpy array of the ``kind`` dtype (``"f8"`` or
         ``"i8"``), or None when some word's value is not exactly that
         dtype's Python type (the caller then loads per word).
 
         Element ``k`` equals ``load(addrs[k])`` in value (an unwritten
-        word reads 0), except that ``overlay`` — an optional
-        ``{k: value}`` dict, such as the memory system's pending
-        write-buffer words — replaces the values at its positions.
-        Words in override-free segments of ``kind`` are read with one
-        fancy index per segment; every other word goes through
+        word reads 0; with ``written``, it returns None instead, so each
+        element is exactly what ``load`` gives), except that ``overlay``
+        — an optional ``{k: value}`` dict, such as the memory system's
+        pending write-buffer words — replaces the values at its
+        positions.  Words in override-free segments of ``kind`` are read
+        with one fancy index per segment; every other word goes through
         :meth:`load`.
         """
         vtype, dtype = _KINDS[kind][1:]
@@ -450,13 +462,17 @@ class WordMemory:
                 off = words - seg.base
                 hit = todo & (off >= 0) & (off <= seg.limit) \
                     & (off % seg.stride == 0)
-                out[hit] = seg.np_view()[off[hit] // seg.stride]
+                index = off[hit] // seg.stride
+                if written and seg.undefined and not _np.frombuffer(
+                        seg.defined, dtype=_np.uint8)[index].all():
+                    return None
+                out[hit] = seg.np_view()[index]
                 todo &= ~hit
         rest = [(k, self.load(int(words[k])))
                 for k in _np.flatnonzero(todo).tolist()]
         for k, value in rest + list((overlay or {}).items()):
-            if type(value) is not vtype and not (type(value) is int
-                                                 and value == 0):
+            if type(value) is not vtype and (written or not (
+                    type(value) is int and value == 0)):
                 return None
             try:
                 out[k] = value

@@ -21,7 +21,7 @@ import numpy as _np
 
 from repro.node.cache import Cache
 from repro.node.dram import Dram
-from repro.node.exact import CEILING, on_grid
+from repro.node.exact import array_on_grid, on_grid
 from repro.node.memory import WordMemory, WordRun
 from repro.node.tlb import Tlb
 from repro.node.write_buffer import WriteBuffer
@@ -40,15 +40,12 @@ __all__ = ["BlockPlan", "MemorySystem", "ReadPlan", "t3d_memory_system",
 
 
 class BlockPlan(NamedTuple):
-    """Timing of one block of rows (:meth:`MemorySystem.plan_block`);
-    numpy float64 arrays."""
+    """Outcome of one block of rows (:meth:`MemorySystem.plan_block`)."""
 
-    #: Cycles of each load, in program order.
+    #: float64 numpy array: cycles of each load, in program order.
     load_cycles: object
-    #: Per row: its loads' cycles plus the caller's row charges.
-    row_cycles: object
-    #: Per store: the DRAM cost its write-buffer entry drains with.
-    drains: object
+    #: The clock after the block's last store.
+    end_clock: float
 
 
 class ReadPlan(NamedTuple):
@@ -248,39 +245,34 @@ class MemorySystem:
         return self.memory.gather(addrs & LOCAL_ADDR_MASK, kind, overlay)
 
     def plan_block(self, now: float, load_addrs, store_addrs,
-                   loads_per_store, row_charges=()) -> BlockPlan | None:
-        """Time a block of rows in one batch, or decline.
+                   loads_per_store, row_charges=(), *, values,
+                   row_extra=None) -> BlockPlan | None:
+        """Run a block of rows in one batch, or decline.
 
         Row ``r`` is ``loads_per_store`` loads (an int, or one count
-        per row), then one store to ``store_addrs[r]``, issued from
-        ``now`` on.  Exactly equivalent to :meth:`read` per load and
-        :meth:`write_cycles` per store: the plan commits the L1 tags,
-        DRAM open rows, last bank and unit counters that sequence
-        leaves, and returns each load's cycles, each row's cycle sum
-        plus ``row_charges``, and each store's drain cost.  The caller
-        then issues the stores in order with
-        ``write_buffer.push_new(clock, addr, value, drain)`` (a store's
-        stall depends on the clock) and takes load values from
-        :meth:`gather` beforehand.
+        per row), then the caller's ``row_charges`` and ``row_extra[r]``
+        cycles (a float64 numpy array, or None), then a store of
+        ``values[r]`` to ``store_addrs[r]``, issued from ``now`` on.
+        Exactly equivalent to :meth:`read` per load and :meth:`write`
+        per store: the plan commits the L1 tags, DRAM open rows, last
+        bank and unit counters that sequence leaves, and issues the
+        stores through :meth:`WriteBuffer.push_run`.  It returns each
+        load's cycles and the clock after the last store; the caller
+        takes load values from :meth:`gather` beforehand.
 
         Returns None, leaving every unit untouched, outside the envelope
         where that is exact: no tracing, a direct-mapped L1, no
-        L2, a never-missing TLB, a power-of-two buffer depth, no store
-        that could merge, no loaded word stored in the block, no pending
-        synonym of a loaded word, only plain local pending entries, and
+        L2, a never-missing TLB, no store that could merge, no loaded
+        word stored in the block, no pending synonym of a loaded word,
+        only plain local pending entries, no store that would stall, and
         every cycle value on the exactness grid (``docs/timing_model.md``
         gives the argument).
         """
         wb = self.write_buffer
-        cap = wb._capacity
         if (_trace.TRACE_ENABLED or self.l2 is not None
-                or self.l1._assoc != 1 or not self.tlb._never_misses
-                or cap & (cap - 1)):
+                or self.l1._assoc != 1 or not self.tlb._never_misses):
             return None
         pending = wb._pending
-        if any(e.on_retire is not None or not e.apply_words
-               for e in pending):
-            return None
         mask = LOCAL_ADDR_MASK
         loads = _np.asarray(load_addrs, dtype=_np.int64)
         stores = _np.asarray(store_addrs, dtype=_np.int64)
@@ -312,16 +304,9 @@ class MemorySystem:
             full.update(w for w in pending_words if w & mask in shared)
             if len(full) != len(shared):
                 return None
-        dp = self.dram.params
         hit_cycles = self.params.l1.hit_cycles
-        drain_kinds = (dp.access_cycles,
-                       dp.access_cycles + dp.off_page_cycles,
-                       dp.access_cycles + dp.off_page_cycles
-                       + dp.same_bank_cycles)
-        times = [now, wb._last_retire] + [e.retire_time for e in pending]
-        if not all(on_grid(x) for x in (
-                *times, hit_cycles, wb._issue_cycles, *row_charges,
-                *drain_kinds, *(d / cap for d in drain_kinds))):
+        if not (all(on_grid(x) for x in (hit_cycles, *row_charges))
+                and (row_extra is None or array_on_grid(row_extra))):
             return None
 
         hits, l1_commit = self._plan_l1(loads)
@@ -334,6 +319,7 @@ class MemorySystem:
         seq[store_pos] = lines & mask
         to_dram = _np.ones(nloads + nrows, dtype=bool)
         to_dram[load_pos[hits]] = False
+        dp = self.dram.params
         planned = self.dram.plan_access(seq[to_dram], dp.off_page_cycles,
                                         dp.same_bank_cycles)
         if planned is None:
@@ -342,15 +328,16 @@ class MemorySystem:
         cost = _np.zeros(nloads + nrows)
         cost[to_dram] = dram_costs
         load_cycles = _np.where(hits, hit_cycles, cost[load_pos])
-        drains = cost[store_pos]
         csum = _np.concatenate(([0.0], _np.cumsum(load_cycles)))
-        row_cycles = csum[ends] - csum[ends - counts] + sum(row_charges)
-        if not (max(times) + row_cycles.sum() + nrows * wb._issue_cycles
-                + drains.sum() / cap) < CEILING:
+        gaps = csum[ends] - csum[ends - counts] + sum(row_charges)
+        if row_extra is not None:
+            gaps += row_extra
+        end = wb.push_run(now, stores, values, gaps, cost[store_pos])
+        if end is None:
             return None
         l1_commit()
         dram_commit()
-        return BlockPlan(load_cycles, row_cycles, drains)
+        return BlockPlan(load_cycles, end)
 
     def _plan_l1(self, addrs):
         """Direct-mapped L1 hit mask of read-allocating accesses to
@@ -471,20 +458,6 @@ class MemorySystem:
     # ------------------------------------------------------------------
     # Hooks for the shell (remote access to / through this node).
     # ------------------------------------------------------------------
-
-    def dram_access(self, addr: int) -> float:
-        """A memory-controller access on behalf of a remote requester.
-
-        Remote reads and writes hit the target node's DRAM directly
-        (they do not allocate in the target's cache); the off-page
-        behaviour of the *remote* memory controller is what the remote
-        probes of Figures 4/5/7 observe.
-        """
-        return self.dram.access(self.local_addr(addr))
-
-    def fill_remote_line(self, addr: int) -> None:
-        """Install a remote line into the local L1 (cached remote read)."""
-        self.l1.fill(addr)
 
     def invalidate_line(self, addr: int) -> float:
         """Flush one line (coherence flush); returns its cost."""

@@ -33,6 +33,8 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple
 
+import numpy as _np
+
 from repro.node.exact import CEILING, array_on_grid, on_grid
 from repro.params import WORD_BYTES, WriteBufferParams
 from repro.trace import tracer as _trace
@@ -169,9 +171,6 @@ class WriteBuffer:
         self.merged_writes = 0
         self.drained_entries = 0
 
-    def _line_addr(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
-
     def occupancy(self, now: float) -> int:
         """Entries still in flight at time ``now``."""
         self.flush_retired(now)
@@ -294,6 +293,74 @@ class WriteBuffer:
             _trace.emit("wb_push", t=now, pe=self.owner_pe, line=line,
                         stall=stall, retire=retire)
         return cycles + stall
+
+    def push_run(self, now: float, addrs, values, gaps, drains):
+        """``clock += gaps[i]; clock += push_new(clock, addrs[i],
+        values[i], drains[i])`` for each store of a run, from ``clock =
+        now``, in one closed form (numpy ``addrs``, ``gaps``, ``drains``;
+        ``values`` a sequence); returns the final clock, or None with
+        nothing changed.
+
+        With no stall, store ``i`` issues at ``c = now + cumsum(gaps) +
+        issue * i`` and retires at ``Q + max(last_retire, max(c - (Q -
+        q)))`` (a running maximum), where ``q = drains / depth`` and ``Q
+        = cumsum(q)``.  Declines while tracing, if a pending entry is
+        not a plain local store or pending retire times are out of
+        order, if a store would find ``depth`` entries in flight after
+        its flush (it would stall), and off the exactness envelope
+        (:mod:`repro.node.exact`).
+        """
+        pending = self._pending
+        cap = self._capacity
+        issue = self._issue_cycles
+        last = self._last_retire
+        warm = [e.retire_time for e in pending]
+        n = len(addrs)
+        q = drains / cap
+        if (_trace.TRACE_ENABLED or not n or warm != sorted(warm)
+                or (warm and last < warm[-1])
+                or any(e.on_retire is not None or not e.apply_words
+                       for e in pending)
+                or not all(on_grid(x) for x in (now, last, issue, *warm))
+                or not (array_on_grid(gaps) and array_on_grid(q))
+                or gaps.min() < 0 or q.min() < 0
+                or not max(now, last) + float(gaps.sum()) + n * issue
+                + float(q.sum()) < CEILING):
+            return None
+        clock = now + _np.cumsum(gaps) + issue * _np.arange(n)
+        done = _np.cumsum(q)
+        retire = done + _np.maximum.accumulate(
+            _np.maximum(clock - (done - q), last))
+        # Retire times are in order, so the entries retired when store i
+        # issues are a prefix of the warm ones and the run's first i.
+        order = _np.concatenate((warm, retire))
+        ahead = len(warm) + _np.arange(n)
+        in_flight = ahead - _np.minimum(
+            _np.searchsorted(order, clock, side="right"), ahead)
+        if (in_flight >= cap).any():
+            return None
+        end = float(clock[-1])
+        # The last flush is the last store's, ahead of its own entry.
+        gone = min(int(_np.searchsorted(order, end, side="right")),
+                   len(order) - 1)
+        self._commit([e.words for e in pending[:gone]])
+        del pending[:gone]
+        done_run = max(0, gone - len(warm))
+        addrs = addrs.tolist()
+        words = [a - a % WORD_BYTES for a in addrs]
+        values = (values.tolist() if isinstance(values, _np.ndarray)
+                  else list(values))
+        if done_run:
+            self._commit([dict(zip(words[:done_run], values))])
+        pending.extend(PendingWrite(
+            addrs[i] - addrs[i] % self.line_bytes, float(clock[i]),
+            float(retire[i]), {words[i]: values[i]})
+            for i in range(done_run, n))
+        self._last_retire = float(retire[-1])
+        self.drained_entries += gone
+        if not in_flight.all():
+            self.mark_dirty()
+        return end + issue
 
     def find_word(self, now: float, addr: int):
         """Forwarding check: return ``(True, value)`` for the youngest

@@ -105,6 +105,13 @@ def mb_per_s(nbytes: int, cycles: float) -> float:
     return nbytes / seconds / 1e6
 
 
+def _require_positive(params, *fields: str) -> None:
+    """Reject a geometry whose size or count field is not positive."""
+    for name in fields:
+        if getattr(params, name) <= 0:
+            raise ValueError(f"{type(params).__name__}.{name} must be > 0")
+
+
 @dataclass(frozen=True)
 class CacheParams:
     """Geometry and timing of one cache level."""
@@ -120,6 +127,7 @@ class CacheParams:
     flush_all_cycles: float = 1024.0
 
     def __post_init__(self) -> None:
+        _require_positive(self, "size_bytes", "line_bytes", "associativity")
         if self.size_bytes % (self.line_bytes * self.associativity):
             raise ValueError("cache size must be a multiple of line * ways")
 
@@ -146,6 +154,9 @@ class WriteBufferParams:
     issue_cycles: float = 3.0         # ~20 ns per merged write (section 2.3)
     merging: bool = True              # write-merging observed (section 2.3)
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "entries")
+
 
 @dataclass(frozen=True)
 class DramParams:
@@ -167,6 +178,10 @@ class DramParams:
     #: Extra penalty when consecutive accesses hit the same busy bank;
     #: total worst case 22 + 9 + 9 = 40 cycles (section 2.2).
     same_bank_cycles: float = 9.0
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "banks", "bank_interleave_bytes",
+                          "page_bytes")
 
 
 @dataclass(frozen=True)

@@ -346,38 +346,42 @@ class RemoteAccessUnit:
         """The retirement callback of stores into ``pe``."""
         return self._peer(pe).on_retire
 
-    def _plan_target(self, pe: int, offset: int, nwords: int):
-        """Shared checks of a batched read of ``nwords`` words of ``pe``
-        from ``offset``: returns ``(peer, values)`` or None."""
-        mask = LOCAL_ADDR_MASK
+    def _plan_target(self, pe: int, first: int, last: int):
+        """Shared checks of a batched read of ``pe``'s words at offsets
+        ``first .. last``: the :class:`PeerLink`, or None."""
         if (_trace.TRACE_ENABLED or pe == self.my_pe
-                or offset < 0 or offset + (nwords - 1) * WORD_BYTES > mask):
+                or first < 0 or last > LOCAL_ADDR_MASK):
             return None
-        peer = self._peer(pe)
-        return peer, WordRun(peer.node.memsys.memory, offset, nwords)
+        return self._peer(pe)
 
-    def plan_uncached(self, pe: int, offset: int,
-                      nwords: int) -> ReadPlan | None:
-        """:meth:`uncached_read` of the words at ``offset + 8 * i`` of
-        ``pe``, timed in one pass (the target's DRAM row events with the
-        remote off-page penalty); None where that is not exact."""
-        target = self._plan_target(pe, offset, nwords)
-        if target is None:
-            return None
-        peer, values = target
-        base = self.params.read_overhead_cycles + 2 * peer.flight
-        planned = peer.dram.plan_access(
-            range(offset, offset + nwords * WORD_BYTES, WORD_BYTES),
-            self.params.remote_off_page_cycles, peer.same_bank)
-        if planned is None or not on_grid(self.params.read_overhead_cycles) \
+    def plan_uncached(self, pe: int, offsets) -> ReadPlan | None:
+        """:meth:`uncached_read` of ``pe``'s words at each of
+        ``offsets`` (a ``range`` of consecutive words, or an int64 numpy
+        array) in turn, timed in one pass (the target's DRAM row events
+        with the remote off-page penalty); None where that is not exact.
+        The values are a :class:`WordRun` for a range, else a float64
+        array (None unless every word holds a float)."""
+        n = len(offsets)
+        ranged = isinstance(offsets, range)
+        peer = n and self._plan_target(pe, *(
+            (offsets[0], offsets[-1]) if ranged
+            else (int(offsets.min()), int(offsets.max()))))
+        if not peer or not on_grid(self.params.read_overhead_cycles) \
                 or not on_grid(peer.flight):
             return None
+        memory = peer.node.memsys.memory
+        values = (WordRun(memory, offsets.start, n) if ranged
+                  else memory.gather(offsets, "f8", written=True))
+        planned = peer.dram.plan_access(
+            offsets, self.params.remote_off_page_cycles, peer.same_bank)
+        if planned is None or values is None:
+            return None
         cycles, dram_commit = planned
-        cycles += base
+        cycles += self.params.read_overhead_cycles + 2 * peer.flight
 
         def commit():
             dram_commit()
-            self.reads += nwords
+            self.reads += n
 
         return ReadPlan(cycles, values, commit,
                         (peer.on_retire, self.inbound(self.my_pe)))
@@ -400,16 +404,17 @@ class RemoteAccessUnit:
         where that is not exact: outside a direct-mapped L1, or off the
         exactness grid.
         """
-        target = self._plan_target(pe, offset, nwords)
+        peer = self._plan_target(pe, offset,
+                                 offset + (nwords - 1) * WORD_BYTES)
         l1 = self.memsys.l1
         p = self.params
         hit_cycles = self.memsys.params.l1.hit_cycles
         flush_cycles = self.memsys.params.l1.flush_line_cycles
-        if target is None or l1._assoc != 1 or not all(on_grid(x) for x in (
+        if peer is None or l1._assoc != 1 or not all(on_grid(x) for x in (
                 p.read_overhead_cycles, p.cached_line_extra_cycles,
                 hit_cycles, flush_cycles)):
             return None
-        peer, values = target
+        values = WordRun(peer.node.memsys.memory, offset, nwords)
         lb = l1._line_bytes
         nsets = l1._num_sets
         tags = dict(l1._tags)

@@ -19,6 +19,8 @@ Accesses to the thread's own processor always resolve to Annex entry 0
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.shell.annex import DtbAnnex, ReadMode
 
 __all__ = ["AnnexPolicy", "MultiAnnexPolicy", "OsManagedAnnexPolicy",
@@ -67,6 +69,26 @@ class SingleAnnexPolicy(AnnexPolicy):
         cycles = annex.set_entry(self.REGISTER, pe, mode)
         self._current = (pe, mode)
         return self.REGISTER, cycles
+
+    def plan(self, annex: DtbAnnex, pes):
+        """:meth:`setup` of an uncached access to each of ``pes`` (an
+        int64 numpy array of remote processors) in turn, changing
+        nothing: returns each set-up's cycles and a ``commit()`` that
+        leaves the register, its update count and this policy as the
+        calls would."""
+        reload = np.ones(len(pes), dtype=bool)
+        if self.skip_when_unchanged:
+            reload[0] = self._current != (int(pes[0]), ReadMode.UNCACHED)
+            reload[1:] = pes[1:] != pes[:-1]
+        reloads = int(reload.sum())
+
+        def commit():
+            if reloads:
+                self._current = (int(pes[-1]), ReadMode.UNCACHED)
+                annex.set_entry(self.REGISTER, *self._current)
+                annex.updates += reloads - 1
+
+        return np.where(reload, annex.params.update_cycles, 0.0), commit
 
     def reset(self) -> None:
         self._current = None

@@ -95,7 +95,8 @@ def bulk_read_uncached(sc, dst_offset: int, src: GlobalPtr,
     nwords = _words(nbytes)
     ctx = sc.ctx
     if _batched(ctx):
-        plan = ctx.node.remote.plan_uncached(src.pe, src.addr, nwords)
+        plan = ctx.node.remote.plan_uncached(src.pe, range(
+            src.addr, src.addr + nwords * WORD_BYTES, WORD_BYTES))
         if plan is not None:
             gaps = plan.cycles
             gaps += ctx.node.alpha.loop_iteration()

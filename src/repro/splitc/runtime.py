@@ -27,8 +27,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
+import numpy as np
+
 from repro import tiers
 from repro.node.alpha import extract_byte, merge_byte_into_word
+from repro.node.exact import on_grid
+from repro.node.memsys import ReadPlan
 from repro.node.write_buffer import PendingWrite
 from repro.params import ANNEX_BIT_SHIFT, LOCAL_ADDR_MASK, WORD_BYTES
 from repro.shell.annex import AnnexEntry, ReadMode
@@ -170,6 +174,46 @@ class SplitC:
         self._record("read (remote)", before)
         return value
 
+    def plan_reads(self, pes, addrs) -> ReadPlan | None:
+        """:meth:`read_from` of ``addrs[k]`` on remote ``pes[k]`` (int64
+        numpy arrays) in turn, timed ahead: each read's cycles (Annex
+        set-up, uncached read, Split-C extra), its value (float64) and a
+        ``commit()`` that leaves the targets' DRAM, the remote unit, the
+        Annex and the op stats as the reads would.  None under span
+        tracing, the cached read mechanism, an Annex policy other than
+        :class:`SingleAnnexPolicy`, or a declined
+        :meth:`RemoteAccessUnit.plan_uncached`."""
+        node = self.ctx.node
+        extra = node.params.shell.remote.splitc_read_extra_cycles
+        if (not len(pes) or self.trace is not None
+                or self.plan.read_mechanism == "cached"
+                or type(self.annex_policy) is not SingleAnnexPolicy
+                or not on_grid(extra)
+                or not on_grid(node.annex.params.update_cycles)):
+            return None
+        cycles = np.empty(len(pes))
+        values = np.empty(len(pes))
+        commits = []
+        order = np.argsort(pes, kind="stable")
+        targets, starts = np.unique(pes[order], return_index=True)
+        for pe, reads in zip(targets.tolist(), np.split(order, starts[1:])):
+            plan = node.remote.plan_uncached(pe, addrs[reads])
+            if plan is None:
+                return None
+            cycles[reads] = plan.cycles
+            values[reads] = plan.values
+            commits.append(plan.commit)
+        annex_cycles, annex_commit = self.annex_policy.plan(node.annex, pes)
+        cycles += annex_cycles + extra
+
+        def commit():
+            annex_commit()
+            for target_commit in commits:
+                target_commit()
+            self.stats.add("read (remote)", len(pes), float(cycles.sum()))
+
+        return ReadPlan(cycles, values, commit)
+
     def _read_cached_with_flush(self, gp: GlobalPtr):
         """The rejected cached-read implementation (section 4.4): fetch
         a line, then flush it to stay coherent.  Kept for ablation."""
@@ -253,18 +297,6 @@ class SplitC:
         ctx.charge(
             ctx.node.params.shell.remote.splitc_put_extra_cycles)
         self._record("put (issue)", before)
-
-    def put_gathered(self, pe: int, pairs) -> None:
-        """Gathered puts to one processor.  Semantically identical to::
-
-            for src, dst in pairs:
-                self.put_to(pe, dst, self.ctx.local_read(src))
-
-        One-group form of :meth:`put_scatter` — callers with several
-        destination processors in one phase should hand them all to
-        ``put_scatter`` so its set-up amortizes across the phase.
-        """
-        self.put_scatter(((pe, pairs),))
 
     def put_scatter(self, groups) -> None:
         """Scattered puts for one exchange phase: the bulk primitive

@@ -34,10 +34,14 @@ class OpStats:
     ops: dict = field(default_factory=dict)
 
     def record(self, op: str, cycles: float) -> None:
+        self.add(op, 1, cycles)
+
+    def add(self, op: str, count: int, cycles: float) -> None:
+        """Record ``count`` operations costing ``cycles`` in total."""
         record = self.ops.get(op)
         if record is None:
             record = self.ops[op] = OpRecord()
-        record.count += 1
+        record.count += count
         record.cycles += cycles
 
     def count(self, op: str) -> int:

@@ -7,12 +7,15 @@ block of rows runs two ways on identical copies:
 
 * **scalar** — ``read`` per load, the row charges, ``write_cycles`` per
   store: the sequence the plan claims to batch;
-* **planned** — ``gather`` the load values, ``plan_block``, then per
-  row add ``row_cycles`` and issue the store with
-  ``write_buffer.push_new``.
+* **planned** — ``gather`` the load values, then ``plan_block``, which
+  issues the stores itself (``WriteBuffer.push_run``).
 
 Either the two end in byte-identical units with identical cycles and
 values, or the plan declined and left every unit untouched.
+
+``WriteBuffer.push_run`` is also held on its own to the ``push_new``
+loop it replaces, from random warm buffers and with gaps short enough
+to stall.
 """
 
 from __future__ import annotations
@@ -136,17 +139,26 @@ def _planned(ms, now, block, charges, per_row):
     counts = [len(loads_r) for loads_r, _ in block]
     values = ms.gather(loads)
     plan = ms.plan_block(now, loads, stores, counts if per_row else
-                         counts[0], charges)
+                         counts[0], charges,
+                         values=[0.5 + r for r in range(len(block))])
     if plan is None:
         return None
+    return plan.end_clock, plan.load_cycles.tolist(), values.tolist()
+
+
+def _stalls(ms, now, block, charges):
+    """Whether a store of the scalar loop waits for a buffer slot."""
     clock = now
-    push = ms.write_buffer.push_new
-    for r, (store, row, drain) in enumerate(zip(
-            stores.tolist(), plan.row_cycles.tolist(),
-            plan.drains.tolist())):
-        clock += row
-        clock += push(clock, store, 0.5 + r, drain)
-    return clock, plan.load_cycles.tolist(), values.tolist()
+    issue = ms.params.write_buffer.issue_cycles
+    for r, (loads, store) in enumerate(block):
+        for addr in loads:
+            clock += ms.read(clock, addr)[0]
+        clock += sum(charges)
+        cycles = ms.write_cycles(clock, store, 0.5 + r)
+        if cycles > issue:
+            return True
+        clock += cycles
+    return False
 
 
 @given(shape=shapes, ops=warm_ops, last_bank=st.sampled_from([None, -1, 0, 3]),
@@ -166,7 +178,8 @@ def test_plan_equals_scalar_loop_or_declines_untouched(
     if got is None:
         assert _state(planned_ms) == before
         assert shape != "t3d" or charges == (0.3,) or idle == 0.1 \
-            or _hazard(block, planned_ms)
+            or _hazard(block, planned_ms) \
+            or _stalls(scalar_ms, now, block, charges)
         return
     assert shape in ("t3d", "no-merge")
     want = _scalar(scalar_ms, now, block, charges)
@@ -194,14 +207,94 @@ def test_plan_declines_while_tracing():
     ms, now = _warm("t3d", [], None)
     trace.enable()
     try:
-        assert ms.plan_block(now, [SEGMENT_BASE], [REGIONS[3]], 1) is None
+        assert ms.plan_block(now, [SEGMENT_BASE], [REGIONS[3]], 1,
+                             values=[1.0]) is None
     finally:
         trace.disable()
         trace.TRACER.reset()
-    assert ms.plan_block(now, [SEGMENT_BASE], [REGIONS[3]], 1) is not None
+    assert ms.plan_block(now, [SEGMENT_BASE], [REGIONS[3]], 1,
+                         values=[1.0]) is not None
 
 
 def test_plan_rejects_mismatched_load_counts():
     ms, now = _warm("t3d", [], None)
     with pytest.raises(ValueError, match="loads_per_store"):
-        ms.plan_block(now, [SEGMENT_BASE], [REGIONS[3]], 2)
+        ms.plan_block(now, [SEGMENT_BASE], [REGIONS[3]], 2, values=[1.0])
+
+
+# ----------------------------------------------------------------------
+# WriteBuffer.push_run against the push_new loop
+# ----------------------------------------------------------------------
+
+#: On-grid cycle values: DRAM drains (one store's entry drains in a
+#: quarter of these at depth 4) and gaps, some below a quarter drain,
+#: so a run of them fills the buffer and stalls.
+drain_cycles = st.sampled_from([22.0, 31.0, 40.0, 0.0, 5.5])
+gap_cycles = st.sampled_from([0.0, 1.0, 2.5, 6.0, 30.0, 95.25])
+
+
+def _buffer(depth, warm, settle_peer):
+    """A memory system whose buffer holds the plain local entries the
+    ``warm`` ``(gap, drain)`` stores leave, and a settle queue shared
+    with another buffer."""
+    ms = MemorySystem(replace(t3d_node_params(),
+                              write_buffer=WriteBufferParams(entries=depth)))
+    ms.memory.alloc_segment(OUTPUT_BASE, SEGMENT_WORDS, "f8", 32)
+    wb = ms.write_buffer
+    wb.settle_queue = {}
+    clock = 0.0
+    for k, (gap, drain) in enumerate(warm):
+        clock += gap
+        clock += wb.push_new(clock, 0x9000 + 32 * k, 10.0 + k, drain)
+    if settle_peer:
+        wb.settle_queue["another buffer"] = None
+    return ms, clock
+
+
+def _wb_state(ms):
+    wb = ms.write_buffer
+    return ([(e.line_addr, e.enqueue_time, e.retire_time,
+              sorted(e.words.items())) for e in wb._pending],
+            wb._last_retire, wb.drained_entries, wb.merged_writes,
+            ["self" if x is wb else x for x in wb.settle_queue],
+            sorted(ms.memory.items()))
+
+
+@given(depth=st.sampled_from([4, 4, 2, 8, 3]),
+       warm=st.lists(st.tuples(gap_cycles, drain_cycles), max_size=6),
+       run=st.lists(st.tuples(gap_cycles, drain_cycles,
+                              st.integers(0, SEGMENT_WORDS - 1)),
+                    min_size=1, max_size=12, unique_by=lambda r: r[2]),
+       idle=st.sampled_from([0.0, 3.0, 50.0, 0.1]),
+       settle_peer=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_push_run_equals_push_new_loop_or_declines_untouched(
+        depth, warm, run, idle, settle_peer):
+    scalar_ms, now = _buffer(depth, warm, settle_peer)
+    run_ms, _ = _buffer(depth, warm, settle_peer)
+    now += idle
+    addrs = np.array([OUTPUT_BASE + 32 * slot for _g, _d, slot in run],
+                     dtype=np.int64)
+    values = [0.25 + k for k in range(len(run))]
+    gaps = np.array([g for g, _d, _s in run])
+    drains = np.array([d for _g, d, _s in run])
+    before = _wb_state(run_ms)
+    got = run_ms.write_buffer.push_run(now, addrs, values, gaps, drains)
+    clock = now
+    stalled = False
+    wb = scalar_ms.write_buffer
+    for addr, value, gap, drain in zip(addrs.tolist(), values,
+                                       gaps.tolist(), drains.tolist()):
+        clock += gap
+        cycles = wb.push_new(clock, addr, value, drain)
+        stalled |= cycles > wb.params.issue_cycles
+        clock += cycles
+    if got is None:
+        assert _wb_state(run_ms) == before
+        assert stalled or depth == 3 or idle == 0.1
+        return
+    assert not stalled
+    assert type(got) is float and got == clock
+    assert _wb_state(run_ms) == _wb_state(scalar_ms)
+    assert all(type(e.retire_time) is float and type(e.enqueue_time) is float
+               for e in run_ms.write_buffer._pending)

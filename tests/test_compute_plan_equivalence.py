@@ -1,19 +1,25 @@
-"""Golden full-state equivalence: the planned EM3D compute phase IS the
-reference loop.
+"""Golden full-state equivalence: the planned EM3D compute phase and
+ghost fill ARE the reference loops.
 
 ``repro.apps.em3d.kernels.compute_rows`` runs blocks of rows through
-``MemorySystem.plan_block`` (one batched L1/DRAM plan, then a row walk
-pushing each store through the write buffer); under
-``repro.tiers.reference()`` it runs the per-access reference loop.  Both must leave *every* observable identical after *every*
-compute phase, not just the final answer: the processor clock, the op
-stats, the L1 tags, the DRAM open rows, last bank and counters, the
-pending write-buffer entries (retire times and forwarded words), and
-the memory words.  The ``msg`` version is the one whose stores are
-still pending when the next half-step reads them.
+``MemorySystem.plan_block`` (one batched L1/DRAM plan, then one
+closed-form write-buffer run of the row stores), with the "simple"
+version's remote edges planned by ``SplitC.plan_reads``; the
+bundle/unroll ghost fill is ``plan_reads`` then a load-free
+``plan_block``.  Under ``repro.tiers.reference()`` both run the
+per-access reference loops.  Both must leave *every* observable
+identical after *every* compute phase and ghost fill, not just the
+final answer: the processor clock, the op stats, the L1 tags, the DRAM
+open rows, last bank and counters, the pending write-buffer entries
+(retire times and forwarded words), and the memory words; and on every
+node (the read targets) the DRAM open rows, last bank and counters,
+the remote unit's read count, and the Annex entries and update count.
+The ``msg`` version is the one whose stores are still pending when the
+next half-step reads them.
 
 Nodes outside the plan's envelope — the workstation (L2, a TLB that can
 miss) and a 2-way set-associative L1 — must make the plan decline on
-every block, and still match.
+every block and every fill, and still match.
 """
 
 from __future__ import annotations
@@ -59,23 +65,52 @@ def _node_state(ctx, sc):
     )
 
 
+def _peer_state(machine):
+    """What a planned remote read can touch on every node."""
+    state = []
+    for pe in range(machine.num_nodes):
+        node = machine.node(pe)
+        dram = node.memsys.dram
+        annex = node.annex
+        state.append((
+            list(dram._open_row), dram._last_bank,
+            (dram.accesses, dram.row_misses, dram.same_bank_conflicts),
+            node.remote.reads,
+            [annex.entry(i) for i in range(annex.params.entries)],
+            annex.updates))
+    return state
+
+
 def _run(machine_params, version, frac, seed, monkeypatch, fast):
     """Run one EM3D configuration; return the state after every compute
-    phase, the final result, and the plan's accept/decline counts."""
+    phase and ghost fill, the final result, the plan's accept/decline
+    counts, and the number of ghost fills and of plans they accepted."""
     snapshots = []
     plans = {"accepted": 0, "declined": 0}
+    fills = {"fills": 0, "accepted": 0}
     real_rows = kernels.compute_rows
+    real_fill = kernels._ghost_fill_reads
     real_plan = MemorySystem.plan_block
+    machine = Machine(machine_params)
+    in_fill = []
 
     def spy_rows(ctx, *args):
         real_rows(ctx, *args)
         simple_sc = args[-1]
         sc = simple_sc if simple_sc is not None else spy_rows.runtimes[ctx.pe]
-        snapshots.append(_node_state(ctx, sc))
+        snapshots.append((_node_state(ctx, sc), _peer_state(machine)))
+
+    def spy_fill(sc, *args, **kwargs):
+        in_fill.append(True)
+        real_fill(sc, *args, **kwargs)
+        in_fill.pop()
+        fills["fills"] += 1
+        snapshots.append((_node_state(sc.ctx, sc), _peer_state(machine)))
 
     def spy_plan(self, *args, **kwargs):
         plan = real_plan(self, *args, **kwargs)
         plans["accepted" if plan is not None else "declined"] += 1
+        fills["accepted"] += bool(in_fill and plan is not None)
         return plan
 
     real_run_splitc = kernels.run_splitc
@@ -88,13 +123,14 @@ def _run(machine_params, version, frac, seed, monkeypatch, fast):
 
     spy_rows.runtimes = {}
     monkeypatch.setattr(kernels, "compute_rows", spy_rows)
+    monkeypatch.setattr(kernels, "_ghost_fill_reads", spy_fill)
     monkeypatch.setattr(kernels, "run_splitc", spy_run_splitc)
     monkeypatch.setattr(MemorySystem, "plan_block", spy_plan)
     try:
         graph = make_graph(num_pes=4, nodes_per_pe=NODES, degree=DEGREE,
                            remote_fraction=frac, seed=seed)
         with nullcontext() if fast else tiers.reference():
-            result = kernels.run_em3d(Machine(machine_params), graph,
+            result = kernels.run_em3d(machine, graph,
                                       version, steps=1, warmup_steps=1)
     finally:
         monkeypatch.undo()
@@ -102,7 +138,7 @@ def _run(machine_params, version, frac, seed, monkeypatch, fast):
              result.e_values, result.h_values,
              sorted((op, rec.count, rec.cycles)
                     for op, rec in result.stats.ops.items()))
-    return snapshots, final, plans
+    return snapshots, final, plans, fills
 
 
 @pytest.mark.parametrize("seed", [1995, 2718])
@@ -119,6 +155,9 @@ def test_planned_phase_matches_reference_state(version, frac, seed,
     for phase, (got, want) in enumerate(zip(fast[0], ref[0])):
         assert got == want, f"state diverged after compute phase {phase}"
     assert fast[1] == ref[1]
+    reads = frac > 0 and version in ("bundle", "unroll")
+    assert (fast[3]["fills"] > 0) == (version in ("bundle", "unroll", "get"))
+    assert (fast[3]["accepted"] > 0) == reads
 
 
 def _two_way_l1():
@@ -132,10 +171,12 @@ def _two_way_l1():
                     node=workstation_node_params()),
     _two_way_l1,
 ], ids=["workstation-l2", "two-way-l1"])
-@pytest.mark.parametrize("version", ["simple", "unroll", "msg"])
+@pytest.mark.parametrize("version", ["simple", "unroll", "msg", "bundle"])
 def test_plan_declines_outside_envelope(make_params, version, monkeypatch):
     fast = _run(make_params(), version, 0.2, 1995, monkeypatch, fast=True)
     ref = _run(make_params(), version, 0.2, 1995, monkeypatch, fast=False)
     assert fast[2]["accepted"] == 0 and fast[2]["declined"] > 0
     assert fast[0] == ref[0]
     assert fast[1] == ref[1]
+    assert (fast[3]["fills"] > 0) == (version in ("unroll", "bundle"))
+    assert fast[3]["accepted"] == 0

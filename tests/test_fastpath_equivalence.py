@@ -262,9 +262,10 @@ def test_fig9_em3d_sweep_matches_reference():
 
 
 def test_fig9_ghost_fill_fast_path_matches_reference():
-    """The inlined ghost-fill loops (reads and puts) must reproduce the
-    generic ``read_from``/``put_to`` paths exactly — every version that
-    fills ghosts, at a communication-heavy fraction."""
+    """The planned blocking-read ghost fill and the flattened put
+    exchange must reproduce the generic ``read_from``/``put_to`` paths
+    exactly — every version that fills ghosts, at a
+    communication-heavy fraction."""
     from repro.apps.em3d import driver
 
     kw = dict(fractions=(0.2, 0.5),

@@ -102,3 +102,26 @@ def test_describe_summarizes_the_machine():
     ws_text = describe(ws)
     assert "L2: 512 KB" in ws_text
     assert "8 KB pages" in ws_text
+
+
+@pytest.mark.parametrize("cls, field", [
+    (P.CacheParams, "size_bytes"),
+    (P.CacheParams, "line_bytes"),
+    (P.CacheParams, "associativity"),
+    (P.WriteBufferParams, "entries"),
+    (P.DramParams, "banks"),
+    (P.DramParams, "bank_interleave_bytes"),
+    (P.DramParams, "page_bytes"),
+])
+@pytest.mark.parametrize("value", [0, -1])
+def test_impossible_geometry_is_rejected_at_construction(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})
+
+
+def test_off_grid_but_possible_geometries_stay_accepted():
+    P.WriteBufferParams(entries=3)
+    P.CacheParams(associativity=2)
+    P.DramParams(banks=1, page_bytes=8 * 1024)
+    P.t3d_node_params()
+    P.workstation_node_params()
