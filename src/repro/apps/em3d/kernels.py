@@ -334,52 +334,31 @@ def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
 
 
 def _ghost_fill_puts(sc, graph, layout, direction: str):
-    """Owners push their values into consumers' ghost slots.
-
-    Fast path: ``put_to``'s remote branch inlined — identical Annex
-    set-up, address composition, remote store, and extra-cycle charges
-    in the same order, with the per-element call chain flattened and
-    attribute lookups hoisted (consumers in the loop are never the
-    owner, so the local branch cannot be taken).  Span-traced runs use
-    the generic path.
-    """
-    ctx = sc.ctx
+    """Owners push their values into consumers' ghost slots: the whole
+    phase is one :meth:`SplitC.put_scatter` call, one group per
+    consumer, so its set-up amortizes across every consumer group
+    (groups are tiny at high processor counts)."""
     plan = graph.e_plan if direction == "e" else graph.h_plan
     vals = layout.h_vals if direction == "e" else layout.e_vals
     ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
     me = sc.my_pe
-    start_clock = ctx.clock if _trace.TRACE_ENABLED else 0.0
-    pushed = 0
-    fast = tiers.fast() and sc.trace is None
+    start_clock = sc.ctx.clock if _trace.TRACE_ENABLED else 0.0
     # The plan's sender lists invert the needed[][] map: each producer
     # iterates only its own consumers instead of scanning every
     # processor, and a consumer's ghost slots for this source are
     # ``slot_base + k`` in list order — the same (consumer, idx)
-    # sequence the full scan visited.  The whole phase goes to
-    # put_scatter in one call so its set-up amortizes across every
-    # consumer group (groups are tiny at high processor counts).
-    if fast:
-        groups = []
-        for consumer, idxs, base in plan.senders[me]:
-            pairs = [(vals + idx * VALUE_BYTES,
-                      ghosts + (base + k) * VALUE_BYTES)
-                     for k, idx in enumerate(idxs)]
-            groups.append((consumer, pairs))
-            pushed += len(pairs)
-        sc.put_scatter(groups)
-    else:
-        local_read = ctx.local_read
-        for consumer, idxs, base in plan.senders[me]:
-            for k, idx in enumerate(idxs):
-                sc.put_to(consumer,
-                          ghosts + (base + k) * VALUE_BYTES,
-                          local_read(vals + idx * VALUE_BYTES))
-                pushed += 1
+    # sequence the full scan visited.
+    groups = [(consumer, [(vals + idx * VALUE_BYTES,
+                           ghosts + (base + k) * VALUE_BYTES)
+                          for k, idx in enumerate(idxs)])
+              for consumer, idxs, base in plan.senders[me]]
+    sc.put_scatter(groups)
     # Completion is deferred to the all_store_sync that follows.
     if _trace.TRACE_ENABLED:
         _trace.emit("annex_ghost_fill", t=start_clock, pe=me,
                     direction=direction, mechanism="put",
-                    count=pushed, cycles=sc.ctx.clock - start_clock)
+                    count=sum(len(pairs) for _consumer, pairs in groups),
+                    cycles=sc.ctx.clock - start_clock)
 
 
 def _gather_and_bulk(sc, graph, layout, direction: str):

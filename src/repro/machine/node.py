@@ -108,37 +108,21 @@ class Node:
         # stable object whose state containers reset in place.
 
     def peer_exports(self) -> tuple:
-        """Target-side bindings every remote peer link needs.
-
-        At 1024 PEs a node is the store target of dozens of sources and
-        each source used to rebuild the same attribute-chain walks and
-        DRAM-geometry derivation for its own :class:`PeerLink`.  The
-        bundle is built once per *target* and shared; everything in it
-        is stable for the machine's life (``dram.reset`` clears
-        ``_open_row`` in place precisely so the bound list stays live).
-        """
+        """Target-side bindings every remote :class:`PeerLink` needs:
+        the DRAM controller, its access and peek methods and penalties,
+        the memory's ``load``, and the one retirement callback for
+        stores into this node.  Built once per *target* and shared by
+        every source's link (at 1024 PEs a node is the store target of
+        dozens of sources); every member is stable for the machine's
+        life."""
         ex = self._peer_exports
         if ex is None:
             ms = self.memsys
             dram = ms.dram
-            l1 = ms.l1
-            interleave = dram._interleave
-            banks = dram._banks
-            geom_flat = (interleave == dram._page_bytes
-                         and interleave & (interleave - 1) == 0
-                         and banks & (banks - 1) == 0)
-            # Direct-mapped tag store for inlined invalidates (None
-            # when set-associative — callers fall back to the method).
-            l1_tags = l1._tags if l1._assoc == 1 else None
             ex = self._peer_exports = (
-                ms, dram, dram.access_with, dram.peek_access_with,
+                dram, dram.access_with, dram.peek_access_with,
                 ms.params.dram.same_bank_cycles,
-                ms.params.dram.access_cycles,
-                ms.memory.load, ms.memory.store, l1.invalidate,
-                self.record_store_arrival,
-                geom_flat, interleave.bit_length() - 1, banks - 1,
-                banks.bit_length() - 1, dram._open_row,
-                l1_tags, l1._line_bytes, l1._num_sets,
+                ms.params.dram.access_cycles, ms.memory.load,
                 make_inbound_on_retire(self, self.remote.params),
             )
         return ex

@@ -57,8 +57,9 @@ class Dram:
     def reset(self) -> None:
         """Forget all open rows and history (e.g. between probe runs).
 
-        ``_open_row`` is cleared in place: peer links bind the list
-        itself so inlined drain peeks see live row state across resets.
+        ``_open_row`` is cleared in place: the inbound retirement
+        callback (:func:`repro.shell.remote.make_inbound_on_retire`)
+        binds the list itself and must see live row state across resets.
         """
         self._open_row[:] = [-1] * self.params.banks
         self._last_bank = -1
@@ -176,10 +177,12 @@ class Dram:
                          same_bank_cycles: float) -> float:
         """Non-mutating :meth:`access_with`: the cost the next access
         would pay under caller-supplied penalties."""
-        p = self.params
-        bank = self.bank_of(addr)
-        row = self.row_of(addr)
-        cycles = p.access_cycles
+        interleave = self._interleave
+        block = addr // interleave
+        bank = block % self._banks
+        row = ((block // self._banks) * interleave
+               + addr % interleave) // self._page_bytes
+        cycles = self._access_cycles
         if self._open_row[bank] != row:
             cycles += off_page_cycles
             if bank == self._last_bank:

@@ -223,10 +223,11 @@ class MemorySystem:
     # Batched program access (exact equivalent of a read/write sequence).
     # ------------------------------------------------------------------
 
-    def gather(self, addrs, kind: str = "f8"):
+    def gather(self, addrs, kind: str = "f8", written: bool = False):
         """The values :meth:`read` would return for each of ``addrs``
         (an int64 numpy array) at this moment, as one numpy array of
-        the ``kind`` dtype, or None (see :meth:`WordMemory.gather`).
+        the ``kind`` dtype, or None (see :meth:`WordMemory.gather`,
+        which also defines ``written``).
 
         A pending write-buffer store to exactly a word forwards the
         youngest such store's value; every other word reads memory at
@@ -242,7 +243,8 @@ class MemorySystem:
             hit = _np.flatnonzero(_np.isin(words, list(forward)))
             overlay = {k: forward[w]
                        for k, w in zip(hit.tolist(), words[hit].tolist())}
-        return self.memory.gather(addrs & LOCAL_ADDR_MASK, kind, overlay)
+        return self.memory.gather(addrs & LOCAL_ADDR_MASK, kind, overlay,
+                                  written)
 
     def plan_block(self, now: float, load_addrs, store_addrs,
                    loads_per_store, row_charges=(), *, values,
@@ -366,48 +368,54 @@ class MemorySystem:
 
         return hits, commit
 
-    def plan_reads(self, addr: int, nwords: int) -> ReadPlan | None:
-        """Time :meth:`read` of the words at ``addr + 8 * i`` ahead, for
-        a store stream the reads feed (:meth:`WriteBuffer.stream` with a
+    def plan_reads(self, addrs) -> ReadPlan | None:
+        """Time :meth:`read` of each of ``addrs`` (a ``range`` of
+        consecutive words, or an int64 numpy array) ahead, for a store
+        stream the reads feed (:meth:`WriteBuffer.stream` with a
         flushing :class:`BlockingSource`), or decline with None.
 
         Each value is the youngest pending write-buffer store to its
         word, else memory: flushing during the stream only moves such a
-        value into memory.  Declines while tracing,
-        outside the direct-mapped, L2-less, never-missing-TLB shape, for
-        words beyond the local offset range, and when a pending store
-        could be seen differently over time: a local store to a synonym
-        (an Annex-bearing address) of a read word.
+        value into memory.  The values are a :class:`WordRun` for a
+        range, else a list.  Declines while tracing, outside the
+        direct-mapped, L2-less, never-missing-TLB shape, for words
+        beyond the local offset range, and when a pending store could be
+        seen differently over time: a local store to a synonym (an
+        Annex-bearing address) of a read word.
         """
         mask = LOCAL_ADDR_MASK
-        last = addr + (nwords - 1) * WORD_BYTES
-        if (_trace.TRACE_ENABLED or not self._fast_read
-                or addr < 0 or last > mask):
+        n = len(addrs)
+        ranged = isinstance(addrs, range)
+        if _trace.TRACE_ENABLED or not self._fast_read or not n:
             return None
-        first = addr - addr % WORD_BYTES
-        overlay = {}
+        lo, hi = ((addrs[0], addrs[-1]) if ranged
+                  else (int(addrs.min()), int(addrs.max())))
+        if lo < 0 or hi > mask:
+            return None
+        first = lo - lo % WORD_BYTES
+        forward = {}
         for entry in self.write_buffer._pending:      # youngest wins
             for word, value in entry.words.items():
                 local = word & mask
-                if not first <= local <= last:
+                if not first <= local <= hi:
                     continue
                 if word == local and entry.apply_words:
-                    overlay[(local - first) // WORD_BYTES] = value
+                    forward[local] = value
                 elif word == local or entry.apply_words:
                     # Forwarded but never committed here, or a synonym
                     # whose retirement changes what the word reads.
                     return None
-        hits, l1_commit = self._plan_l1(
-            range(addr, last + WORD_BYTES, WORD_BYTES))
+        hits, l1_commit = self._plan_l1(addrs)
+        misses = _np.flatnonzero(~hits)
         dp = self.dram.params
         planned = self.dram.plan_access(
-            addr + WORD_BYTES * _np.flatnonzero(~hits), dp.off_page_cycles,
-            dp.same_bank_cycles)
+            lo + WORD_BYTES * misses if ranged else addrs[misses],
+            dp.off_page_cycles, dp.same_bank_cycles)
         hit_cycles = self.params.l1.hit_cycles
         if planned is None or not on_grid(hit_cycles):
             return None
-        cycles = _np.full(nwords, hit_cycles, dtype=_np.float64)
-        cycles[~hits] = planned[0]
+        cycles = _np.full(n, hit_cycles, dtype=_np.float64)
+        cycles[misses] = planned[0]
 
         def commit():
             l1_commit()
@@ -415,8 +423,17 @@ class MemorySystem:
 
         # Memory changes during the stream only where a pending store
         # retires, and the overlay holds its value there already.
-        return ReadPlan(cycles, WordRun(self.memory, addr, nwords, overlay),
-                        commit)
+        if ranged:
+            values = WordRun(self.memory, lo, n, {
+                (word - first) // WORD_BYTES: value
+                for word, value in forward.items()})
+        else:
+            values = self.gather(addrs, written=True)
+            load = self.memory.load
+            values = (values.tolist() if values is not None else [
+                forward[a & -WORD_BYTES] if a & -WORD_BYTES in forward
+                else load(a) for a in addrs.tolist()])
+        return ReadPlan(cycles, values, commit)
 
     def stream_writes(self, now: float, addrs, values: list, source,
                       isolate=()) -> float | None:
@@ -432,8 +449,8 @@ class MemorySystem:
         line_bytes = self.write_buffer.line_bytes
         mask = LOCAL_ADDR_MASK
 
-        def drain(a):
-            return dram.access((a - a % line_bytes) & mask)
+        def drain(k):
+            return dram.access((addrs[k] - addrs[k] % line_bytes) & mask)
 
         kinds = (dp.access_cycles, dp.access_cycles + dp.off_page_cycles,
                  dp.access_cycles + dp.off_page_cycles + dp.same_bank_cycles)

@@ -146,9 +146,8 @@ class WriteBuffer:
         """Counter-registry hook: this unit's lifetime totals.
 
         Only counters every code path maintains are reported:
-        :meth:`stream` and the ``put_scatter`` kernel add entries
-        without :meth:`push`, so a per-push counter here would
-        undercount them.
+        :meth:`stream` and :meth:`push_run` add entries without
+        :meth:`push`, so a per-push counter here would undercount them.
         """
         return {"merged_writes": self.merged_writes,
                 "drained_entries": self.drained_entries,
@@ -203,8 +202,8 @@ class WriteBuffer:
         self.drained_entries += drained
         if _trace.TRACE_ENABLED and drained:
             _trace.emit("wb_drain", t=now, pe=self.owner_pe, count=drained)
-        # In place, so callers holding a reference to the list (the
-        # inlined fast paths) stay coherent across a flush.
+        # In place, so callers holding a reference to the list stay
+        # coherent across a flush.
         del pending[:drained]
 
     def push(self, now: float, addr: int, value, drain_cost: float,
@@ -395,15 +394,15 @@ class WriteBuffer:
         ``source`` (:class:`BlockingSource` or :class:`PrefetchSource`)
         gives it.  The result is bit-identical to issuing the stores one
         by one through :meth:`MemorySystem.write_cycles` (``remote`` is
-        None) or :meth:`RemoteAccessUnit.store` (``remote`` is the
-        ``(on_retire, meta)`` of the target's entries):
+        None) or :meth:`RemoteAccessUnit.store` (``remote[k]`` is the
+        ``(on_retire, meta)`` of store ``k``'s target):
 
         * a local store pre-scans the pending entries, retired but
           unflushed ones included, *before* its flush: with no entry for
-          its line it calls ``drain(addr)`` (the DRAM access), and a
-          match on an entry that its flush then retires becomes a
-          zero-drain entry;
-        * a remote store calls ``drain(addr)`` (the pure drain peek) before
+          its line it calls ``drain(k)`` (the DRAM access), and a match
+          on an entry that its flush then retires becomes a zero-drain
+          entry;
+        * a remote store calls ``drain(k)`` (the pure drain peek) before
           its flush, and merges only into an entry the flush leaves;
         * a local source read flushes when it issues; the retired
           entries of remote stores run their ``on_retire`` at each flush
@@ -461,8 +460,6 @@ class WriteBuffer:
         e_obj: list = list(pending)
         retired: list = []
         local = remote is None
-        if not local:
-            on_retire, meta = remote
 
         def flush(h, t):
             count = len(e_retire)
@@ -491,6 +488,7 @@ class WriteBuffer:
         h = 0
         drained = 0
         merged = 0
+        emptied = False
         clock = now
         # Chunked, so the per-store lists stay short: retired entries
         # are dropped (and their words committed) between chunks.
@@ -528,7 +526,7 @@ class WriteBuffer:
                     merged += 1
                     clock += issue
                 else:
-                    d = 0.0 if local and j is not None else drain(a)
+                    d = 0.0 if local and j is not None else drain(k)
                     count = len(e_retire)
                     if h < count and e_retire[h] <= clock:
                         h = flush(h, clock)
@@ -543,15 +541,14 @@ class WriteBuffer:
                     last = r
                     words = {a - a % wbytes: chunk_values[k - c0]}
                     e_obj.append(None if local else PendingWrite(
-                        line, start, r, words, False, on_retire, meta))
+                        line, start, r, words, False, *remote[k]))
                     e_line.append(line)
                     e_retire.append(r)
                     e_start.append(start)
                     e_words.append(words)
                     if merging:
                         open_line[line] = count
-                    if count == h:
-                        self.mark_dirty()
+                    emptied = emptied or count == h
                     clock += issue + stall
                 if prefetch:
                     clock += loop
@@ -569,6 +566,11 @@ class WriteBuffer:
         self.merged_writes += merged
         self.drained_entries += drained + h
         self._commit(retired)
+        if emptied:
+            # One registration for every store that found the buffer
+            # empty: nothing else in the stream touches the settle
+            # queue, so it ends in the same order.
+            self.mark_dirty()
         return clock
 
     def _commit(self, word_dicts: list) -> None:

@@ -261,6 +261,13 @@ class AnnexParams:
     #: over simply reloading a single register.
     table_lookup_cycles: float = 10.0
 
+    def __post_init__(self) -> None:
+        # Entry 0 is hard-wired to the local processor (section 3.2), so
+        # a remote access needs at least register 1.
+        if self.entries < 2:
+            raise ValueError("AnnexParams.entries must be >= 2: entry 0 "
+                             "is hard-wired to the local processor")
+
 
 @dataclass(frozen=True)
 class RemoteAccessParams:

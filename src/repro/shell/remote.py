@@ -156,20 +156,15 @@ class AckRecord:
 class PeerLink:
     """Precomputed per-target bindings for the remote hot paths.
 
-    Everything here is immutable for the life of the machine (nodes,
-    units, and DRAM geometry are created once), so the link collapses
-    the per-access attribute-chain walks *and* the per-group DRAM
-    geometry recomputation that dominated ``put_scatter`` at 1024 PEs
-    — scatter groups are mostly one or two elements there, so set-up
-    cost per group is the bill.  ``open_row``/``dram`` expose the
-    target controller's *live* row state for inlined drain peeks.
+    Everything here is immutable for the life of the machine (nodes and
+    units are created once), so the link collapses the per-access
+    attribute-chain walks to one lookup per target.  ``dram`` is the
+    target's controller, whose live row state the drain peeks read.
     """
 
     __slots__ = ("node", "flight", "access_with", "peek_access_with",
-                 "same_bank", "access_cycles", "mem_load", "mem_store",
-                 "l1_invalidate", "on_retire", "retire_meta", "dram",
-                 "geom_flat", "il_shift", "bank_mask", "bank_shift",
-                 "open_row")
+                 "same_bank", "access_cycles", "mem_load", "on_retire",
+                 "retire_meta", "dram")
 
     def __init__(self, unit: "RemoteAccessUnit", pe: int):
         node = unit.fabric.node(pe)
@@ -179,33 +174,13 @@ class PeerLink:
         # attribute-chain walks per pair dominated link construction.
         # The only truly per-pair state is the flight time and the
         # sender identity, carried to retirement as ``retire_meta``.
-        (ms, dram, access_with, peek_access_with, same_bank,
-         access_cycles, mem_load, mem_store, l1_invalidate,
-         record_arrival, geom_flat, il_shift, bank_mask, bank_shift,
-         open_row, l1_tags, l1_line_bytes, l1_num_sets,
-         inbound_on_retire) = node.peer_exports()
+        (self.dram, self.access_with, self.peek_access_with,
+         self.same_bank, self.access_cycles, self.mem_load,
+         self.on_retire) = node.peer_exports()
         self.node = node
         self.flight = unit.fabric.hops(unit.my_pe, pe) \
             * unit.network.hop_cycles
-        self.access_with = access_with
-        self.peek_access_with = peek_access_with
-        self.same_bank = same_bank
-        self.access_cycles = access_cycles
-        self.mem_load = mem_load
-        self.mem_store = mem_store
-        self.l1_invalidate = l1_invalidate
-        self.on_retire = inbound_on_retire
         self.retire_meta = (self.flight, unit)
-        self.dram = dram
-        # Power-of-two controller geometry (see the matching derivation
-        # in the EM3D fast compute loop): when the interleave equals
-        # the page size, row = block // banks exactly, and bank/row
-        # extraction reduces to shifts and masks.
-        self.geom_flat = geom_flat
-        self.il_shift = il_shift
-        self.bank_mask = bank_mask
-        self.bank_shift = bank_shift
-        self.open_row = open_row
 
 
 class RemoteAccessUnit:
@@ -495,44 +470,49 @@ class RemoteAccessUnit:
                         (peer.on_retire, self.inbound(self.my_pe)))
         return plan, tail
 
-    def stream_stores(self, now: float, pe: int, offset: int,
-                      full_addr: int, values: list, source) -> float | None:
-        """:meth:`store` of ``values`` to the words at ``offset + 8 * i``
-        of ``pe`` (full addresses ``full_addr + 8 * i``), each at the
-        clock ``source`` gives, through :meth:`WriteBuffer.stream`;
+    def stream_stores(self, now: float, pes, offsets, full_addrs,
+                      values: list, source) -> float | None:
+        """:meth:`store` of ``values[k]`` to offset ``offsets[k]`` of
+        processor ``pes[k]`` (full address ``full_addrs[k]``), each at
+        the clock ``source`` gives, through :meth:`WriteBuffer.stream`;
         returns the final clock, or None (every unit untouched).
+        ``pes`` is an int64 numpy array, or one int for every store;
+        ``offsets`` and ``full_addrs`` are sequences of ints.
 
-        The drain of each non-merging store peeks the target's DRAM
+        The drain of each non-merging store peeks its target's DRAM
         before the store's flush, as :meth:`store` does, and retiring
-        entries run the target's real ``on_retire`` at each flush point.
+        entries run their target's real ``on_retire`` at each flush
+        point.
         """
-        nwords = len(values)
-        if (pe == self.my_pe or offset < 0
-                or offset + (nwords - 1) * WORD_BYTES > LOCAL_ADDR_MASK):
+        n = len(values)
+        pes = [pes] * n if isinstance(pes, int) else pes.tolist()
+        links = {pe: self._peer(pe) for pe in set(pes)}
+        if self.my_pe in links:
             return None
-        peer = self._peer(pe)
+        peers = list(map(links.__getitem__, pes))
+        # One shared (on_retire, meta) per target, not one per store.
+        retire = {pe: (link.on_retire, link.retire_meta)
+                  for pe, link in links.items()}
         p = self.params
         store_drain = p.store_drain_cycles
         off_page = p.remote_off_page_cycles
-        same_bank = peer.same_bank
-        access = peer.access_cycles
-        peek = peer.peek_access_with
+        dp = self.memsys.params.dram
+        same_bank = dp.same_bank_cycles
+        access = dp.access_cycles
         mask = LOCAL_ADDR_MASK
-        delta = offset - full_addr
 
-        def drain(full):
-            return store_drain + (
-                peek((full + delta) & mask, off_page, same_bank) - access)
+        def drain(k):
+            return store_drain + (peers[k].peek_access_with(
+                offsets[k] & mask, off_page, same_bank) - access)
 
         kinds = tuple(store_drain + (k - access) for k in (
             access, access + off_page, access + off_page + same_bank))
-        addrs = range(full_addr, full_addr + nwords * WORD_BYTES, WORD_BYTES)
         clock = self.memsys.write_buffer.stream(
-            now, addrs, values, drain, kinds, source,
-            remote=(peer.on_retire, peer.retire_meta),
+            now, full_addrs, values, drain, kinds, source,
+            list(map(retire.__getitem__, pes)),
             isolate=(self.inbound(self.my_pe),))
         if clock is not None:
-            self.stores += nwords
+            self.stores += n
         return clock
 
     def invalidate_cached_line(self, full_addr: int) -> float:

@@ -239,13 +239,18 @@ def _store_words(sc, dst: GlobalPtr, src_offset: int, nbytes: int) -> None:
     loop_it = ctx.node.alpha.loop_iteration()
     if (_batched(ctx) and on_grid(bus) and dst.addr >= 0
             and dst.addr + (nwords - 1) * WORD_BYTES <= LOCAL_ADDR_MASK):
-        plan = ctx.node.memsys.plan_reads(src_offset, nwords)
+        span = nwords * WORD_BYTES
+        plan = ctx.node.memsys.plan_reads(
+            range(src_offset, src_offset + span, WORD_BYTES))
         if plan is not None:
             # A source read that missed the cache also pays the bus.
             gaps = plan.cycles
             gaps[gaps > 2.0] += bus
+            full = sc._full_addr(index, dst.addr)
             clock = unit.stream_stores(
-                ctx.clock, dst.pe, dst.addr, sc._full_addr(index, dst.addr),
+                ctx.clock, dst.pe,
+                range(dst.addr, dst.addr + span, WORD_BYTES),
+                range(full, full + span, WORD_BYTES),
                 plan.values, BlockingSource(gaps, loop_it, flush=True))
             if clock is not None:
                 plan.commit()

@@ -26,6 +26,7 @@ everything else is a plain call that advances the thread's clock.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import groupby
 
 import numpy as np
 
@@ -33,29 +34,23 @@ from repro import tiers
 from repro.node.alpha import extract_byte, merge_byte_into_word
 from repro.node.exact import on_grid
 from repro.node.memsys import ReadPlan
-from repro.node.write_buffer import PendingWrite
-from repro.params import ANNEX_BIT_SHIFT, LOCAL_ADDR_MASK, WORD_BYTES
-from repro.shell.annex import AnnexEntry, ReadMode
-from repro.splitc.annex_policy import (
-    MultiAnnexPolicy,
-    OsManagedAnnexPolicy,
-    SingleAnnexPolicy,
-)
+from repro.node.write_buffer import BlockingSource
+from repro.params import LOCAL_ADDR_MASK, WORD_BYTES
+from repro.shell.annex import ReadMode
+from repro.splitc.annex_policy import SingleAnnexPolicy
 from repro.splitc.codegen import CodegenPlan, default_plan
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.stats import OpStats
 from repro.splitc.trace import SpanTrace
-from repro.trace import tracer as _trace
 
 __all__ = ["SplitC", "run_splitc"]
 
-#: Annex policies whose ``setup`` is *stationary* from the second
-#: consecutive same-target call on: every further call returns the
-#: same (index, cycles) and bumps ``annex.updates`` by the same
-#: amount.  The flattened put group exploits this; other policies take
-#: the generic loop.
-_STATIONARY_POLICIES = (SingleAnnexPolicy, MultiAnnexPolicy,
-                       OsManagedAnnexPolicy)
+#: Fewest puts in a run of remote groups that :meth:`SplitC.put_scatter`
+#: streams.  The plans cost ~200-300 us of fixed numpy set-up per run, so
+#: shorter runs take the ``put_to`` loop: on a 64-PE T3D with ~1.2 puts
+#: per target, streaming took 1.2x the loop's time at 48 puts and 0.9x
+#: at 64 (2-core x86 host, CPython 3.11).
+_MIN_STREAMED_PUTS = 56
 
 
 class SplitC:
@@ -308,301 +303,59 @@ class SplitC:
                 for src, dst in pairs:
                     self.put_to(pe, dst, self.ctx.local_read(src))
 
-        With the fast paths on (:func:`repro.tiers.fast`) and no
-        tracing attached, the loop body is flattened: the phase-invariant bindings (write buffer,
-        Annex, params) are hoisted once per *phase*, the per-target
-        bindings (peer cache, retirement callback, DRAM geometry) once
-        per *group*, the Annex set-up runs natively for the first two
-        elements of each group and its (provably stationary) steady
-        state is applied arithmetically for the rest, the target DRAM
-        drain peek is inlined when the geometry is the flat T3D shape,
-        and the write-buffer push is inlined — same cycles, counters,
-        and memory effects in the same order as the generic loop, to
-        the bit.  Per-op stats are recorded in aggregate.
+        which is how local groups are issued.  Each run of consecutive
+        remote groups is one write-buffer stream where
+        :meth:`_stream_puts` can time it, else the same loop.
         """
-        ctx = self.ctx
-        policy = self.annex_policy
-        if (self.trace is not None or _trace.TRACE_ENABLED
-                or type(policy) not in _STATIONARY_POLICIES
-                or not tiers.fast()):
-            local_read = ctx.local_read
-            put_to = self.put_to
-            for pe, pairs in groups:
-                for src, dst in pairs:
-                    put_to(pe, dst, local_read(src))
-            return
-
-        # Phase-invariant bindings: hoisted once, shared by all groups.
-        node = ctx.node
-        annex = node.annex
-        setup = policy.setup
-        remote = node.remote
-        get_peer = remote._peer
-        memsys = node.memsys
-        wb = memsys.write_buffer
-        memsys_read = ctx._memsys_read
-        my_pe = ctx.pe
-        rparams = remote.params
-        store_drain = rparams.store_drain_cycles
-        off_page = rparams.remote_off_page_cycles
-        put_extra = node.params.shell.remote.splitc_put_extra_cycles
-        issue_cycles = wb._issue_cycles
-        merging = wb._merging
-        capacity = wb._capacity
-        pending = wb._pending
-        wb_flush = wb.flush_retired
-        line_bytes = wb.line_bytes
-        wbytes = WORD_BYTES
-        mask = LOCAL_ADDR_MASK
-        # Local-memory bindings for the inlined source read (exact
-        # flattening of MemorySystem.read: write-buffer forwarding
-        # probe, then the direct-mapped L1 / local DRAM chain).  The
-        # T3D shape always takes this path; exotic configs keep the
-        # method call.  L1 and DRAM counters accumulate in locals and
-        # commit in one batch at the end of the phase — nothing reads
-        # them mid-phase, while the *state* (tags, open rows, last
-        # bank) stays live because the generic local-put branch and
-        # retiring drains share it.
-        src_fast = memsys._fast_read
-        my_l1 = memsys.l1
-        l1_tags = my_l1._tags if src_fast else None
-        l1_get = l1_tags.get if src_fast else None
-        lb = my_l1._line_bytes
-        l1_sets = my_l1._num_sets
-        hit_cycles = memsys.params.l1.hit_cycles
-        my_dram = memsys.dram
-        m_interleave = my_dram._interleave
-        m_banks = my_dram._banks
-        m_page = my_dram._page_bytes
-        m_flat = (m_interleave == m_page
-                  and m_interleave & (m_interleave - 1) == 0
-                  and m_banks & (m_banks - 1) == 0)
-        m_il_shift = m_interleave.bit_length() - 1
-        m_bank_mask = m_banks - 1
-        m_bank_shift = m_banks.bit_length() - 1
-        m_open_row = my_dram._open_row
-        m_cycles = my_dram._access_cycles
-        m_off_page = my_dram.params.off_page_cycles
-        m_same_bank = my_dram.params.same_bank_cycles
-        mem_load = memsys.memory.load
-        sl1_h = sl1_m = sdram_n = sdram_rm = sdram_cf = 0
-        # The single-register policy (the compiled-code default) is
-        # further specialized: its setup cost per group is one exact
-        # register-state transition, so the per-element policy call is
-        # replaced by precomputed first/steady costs and one aggregate
-        # update-counter commit at the end of the phase.
-        single = (type(policy) is SingleAnnexPolicy
-                  and len(annex._entries) > 1)
-        if single:
-            entries = annex._entries
-            update_cycles = annex.params.update_cycles
-            skip_unchanged = policy.skip_when_unchanged
-            uncached = ReadMode.UNCACHED
-        ann_updates = 0
-        first_cyc = rest_cyc = 0.0
-        first_upd = rest_upd = 0
-
-        clock = ctx.clock
-        put_cycles = 0.0           # aggregate for the "put (issue)" stat
-        total = 0
-        for pe, pairs in groups:
-            if pe == my_pe:
-                # Local puts record "put (local)" — keep them generic.
-                ctx.clock = clock
-                local_read = ctx.local_read
-                put_to = self.put_to
-                for src, dst in pairs:
-                    put_to(pe, dst, local_read(src))
-                clock = ctx.clock
+        local_read = self.ctx.local_read
+        me = self.my_pe
+        for remote, run in groupby(groups, lambda group: group[0] != me):
+            run = list(run)
+            if remote and self._stream_puts(run):
                 continue
-            # Per-target bindings: the PeerLink carries the target DRAM
-            # geometry precomputed (scatter groups are tiny at high
-            # processor counts, so per-group set-up is the bill).  When
-            # the geometry is the flat T3D shape (interleave == page
-            # size, both powers of two) the drain peek collapses to
-            # shifts; otherwise fall back to the peek method.
-            peer = get_peer(pe)
-            same_bank = peer.same_bank
-            access_cycles = peer.access_cycles
-            on_retire = peer.on_retire
-            retire_meta = peer.retire_meta
-            tdram = peer.dram
-            geom_flat = peer.geom_flat
-            il_shift = peer.il_shift
-            bank_mask = peer.bank_mask
-            bank_shift = peer.bank_shift
-            open_row = peer.open_row
-            peek = peer.peek_access_with
-            elems = 0
-            steady_index = steady_cyc = updates_delta = None
-            if single:
-                # Inlined SingleAnnexPolicy.setup + DtbAnnex.set_entry
-                # for the whole group: the register transitions to
-                # (pe, UNCACHED) on the first element (unless the
-                # skip-when-unchanged variant already holds it) and is
-                # provably stationary for the rest.
-                if skip_unchanged and policy._current == (pe, uncached):
-                    first_cyc = 0.0
-                    first_upd = 0
-                else:
-                    entry = entries[1]
-                    if entry.pe != pe or entry.mode is not uncached:
-                        entries[1] = AnnexEntry(pe=pe, mode=uncached)
-                    policy._current = (pe, uncached)
-                    first_cyc = update_cycles
-                    first_upd = 1
-                if skip_unchanged:
-                    rest_cyc = 0.0
-                    rest_upd = 0
-                else:
-                    rest_cyc = update_cycles
-                    rest_upd = 1
-            for src, dst in pairs:
-                if src_fast:
-                    # MemorySystem.read, flattened: forwarding probe
-                    # against the write buffer, then direct-mapped L1
-                    # over the local DRAM controller.
-                    found = False
-                    value = None
-                    if pending:
-                        if pending[0].retire_time <= clock:
-                            wb_flush(clock)
-                        w = src - (src % wbytes)
-                        for entry in reversed(pending):
-                            if w in entry.words:
-                                found = True
-                                value = entry.words[w]
-                                break
-                    s_line = src - (src % lb)
-                    s_index = (src // lb) % l1_sets
-                    if l1_get(s_index) == s_line:
-                        sl1_h += 1
-                        clock += hit_cycles
-                    else:
-                        sl1_m += 1
-                        l1_tags[s_index] = s_line
-                        a = src & mask
-                        if m_flat:
-                            block = a >> m_il_shift
-                            bank = block & m_bank_mask
-                            row = block >> m_bank_shift
-                        else:
-                            block = a // m_interleave
-                            bank = block % m_banks
-                            row = ((block // m_banks) * m_interleave
-                                   + a % m_interleave) // m_page
-                        cyc = m_cycles
-                        sdram_n += 1
-                        if m_open_row[bank] != row:
-                            sdram_rm += 1
-                            cyc += m_off_page
-                            if bank == my_dram._last_bank:
-                                sdram_cf += 1
-                                cyc += m_same_bank
-                            m_open_row[bank] = row
-                        my_dram._last_bank = bank
-                        clock += cyc
-                    if not found:
-                        value = mem_load(src & mask)
-                else:
-                    read_cycles, value = memsys_read(clock, src)
-                    clock += read_cycles
-                issued_at = clock
-                if single:
-                    index = 1
-                    if elems:
-                        clock += rest_cyc
-                        ann_updates += rest_upd
-                    else:
-                        clock += first_cyc
-                        ann_updates += first_upd
-                elif elems >= 2:
-                    index = steady_index
-                    clock += steady_cyc
-                    annex.updates += updates_delta
-                else:
-                    # First two elements of a group run the real
-                    # policy; from the third on the observed steady
-                    # state is exact (see _STATIONARY_POLICIES).
-                    updates_before = annex.updates
-                    index, cyc = setup(annex, pe)
-                    clock += cyc
-                    if elems == 1:
-                        steady_index, steady_cyc = index, cyc
-                        updates_delta = annex.updates - updates_before
-                if not 0 <= dst <= mask:
-                    annex.compose_address(index, dst)   # raises, as put_to
-                full = (index << ANNEX_BIT_SHIFT) | dst
-                # remote.store + write_buffer.push, inlined: the drain
-                # peek happens before the flush (flushing may retire
-                # earlier stores into this same target and move its
-                # open DRAM row).
-                if geom_flat:
-                    block = dst >> il_shift
-                    bank = block & bank_mask
-                    drain = store_drain
-                    if open_row[bank] != block >> bank_shift:
-                        drain += off_page
-                        if bank == tdram._last_bank:
-                            drain += same_bank
-                else:
-                    drain = store_drain + (
-                        peek(dst, off_page, same_bank) - access_cycles)
-                if pending and pending[0].retire_time <= clock:
-                    wb_flush(clock)
-                line = full - (full % line_bytes)
-                word = full - (full % wbytes)
-                store_cycles = issue_cycles
-                merged = False
-                if merging:
-                    for entry in pending:
-                        if entry.line_addr == line:
-                            entry.words[word] = value
-                            wb.merged_writes += 1
-                            merged = True
-                            break
-                if not merged:
-                    stall = 0.0
-                    if len(pending) >= capacity:
-                        stall = pending[0].retire_time - clock
-                        if stall < 0.0:
-                            stall = 0.0
-                        wb_flush(clock + stall)
-                    start = clock + stall
-                    retire = wb._last_retire
-                    if start > retire:
-                        retire = start
-                    retire += drain / capacity
-                    wb._last_retire = retire
-                    pending.append(
-                        PendingWrite(line, start, retire,
-                                     {word: value}, False, on_retire,
-                                     retire_meta))
-                    if len(pending) == 1:
-                        wb.mark_dirty()
-                    store_cycles += stall
-                clock += store_cycles + put_extra
-                put_cycles += clock - issued_at
-                elems += 1
-            remote.stores += elems
-            total += elems
-        if src_fast:
-            my_l1.hits += sl1_h
-            my_l1.misses += sl1_m
-            my_dram.accesses += sdram_n
-            my_dram.row_misses += sdram_rm
-            my_dram.same_bank_conflicts += sdram_cf
-        if ann_updates:
-            annex.updates += ann_updates
-        ctx.clock = clock
-        if total:
-            rec = self.stats.ops.get("put (issue)")
-            if rec is None:
-                self.stats.record("put (issue)", put_cycles)
-                self.stats.ops["put (issue)"].count += total - 1
-            else:
-                rec.count += total
-                rec.cycles += put_cycles
+            for pe, pairs in run:
+                for src, dst in pairs:
+                    self.put_to(pe, dst, local_read(src))
+
+    def _stream_puts(self, run) -> bool:
+        """The puts of a run of remote groups as one composition: the
+        source reads planned by :meth:`MemorySystem.plan_reads`, the
+        Annex set-ups by :meth:`SingleAnnexPolicy.plan`, and the stores
+        issued by one :meth:`RemoteAccessUnit.stream_stores`.  False,
+        with nothing changed, for runs shorter than
+        :data:`_MIN_STREAMED_PUTS`, with the fast paths off, under span
+        tracing, for another Annex policy, for a destination outside the
+        segment reach (the loop raises), or where a plan declines."""
+        pairs = [pair for _pe, group in run for pair in group]
+        if (len(pairs) < _MIN_STREAMED_PUTS or not tiers.fast()
+                or self.trace is not None
+                or type(self.annex_policy) is not SingleAnnexPolicy):
+            return False
+        srcs, dsts = zip(*pairs)
+        if min(dsts) < 0 or max(dsts) > LOCAL_ADDR_MASK:
+            return False
+        node = self.ctx.node
+        reads = node.memsys.plan_reads(np.array(srcs, dtype=np.int64))
+        if reads is None:
+            return False
+        pes = np.repeat(np.array([pe for pe, _group in run], dtype=np.int64),
+                        [len(group) for _pe, group in run])
+        annex_cycles, annex_commit = self.annex_policy.plan(node.annex, pes)
+        base = self._full_addr(SingleAnnexPolicy.REGISTER, 0)
+        start = self.ctx.clock
+        end = node.remote.stream_stores(
+            start, pes, dsts, [base + dst for dst in dsts], reads.values,
+            BlockingSource(reads.cycles + annex_cycles,
+                           node.params.shell.remote.splitc_put_extra_cycles,
+                           flush=True))
+        if end is None:
+            return False
+        reads.commit()
+        annex_commit()
+        self.ctx.clock = end
+        self.stats.add("put (issue)", len(pairs),
+                       end - start - float(reads.cycles.sum()))
+        return True
 
     def _drain_gets(self) -> None:
         pf = self.ctx.node.prefetch

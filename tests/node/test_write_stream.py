@@ -151,7 +151,7 @@ def test_prefetch_source_matches_pop_loop():
 # ----------------------------------------------------------------------
 
 def _machine_state(machine, clock):
-    out = [clock]
+    out = [clock, [wb.owner_pe for wb in machine._dirty_buffers]]
     for node in machine.nodes:
         ms = node.memsys
         out.append((_memsys_state(ms, None), sorted(ms.l1._tags.items()),
@@ -170,7 +170,7 @@ remote_warm = st.lists(
 
 
 def _warm_machine(ops, index):
-    machine = Machine(t3d_machine_params((2, 1, 1)))
+    machine = Machine(t3d_machine_params((4, 1, 1)))
     node = machine.node(0)
     unit = node.remote
     clock = 0.0
@@ -187,12 +187,15 @@ def _warm_machine(ops, index):
 
 @settings(max_examples=120, deadline=None)
 @given(remote_warm, grid_gaps, st.integers(0, 40), st.booleans(),
-       st.lists(any_gaps, min_size=1, max_size=30))
+       st.lists(st.tuples(any_gaps, st.integers(1, 3)), min_size=1,
+                max_size=30), st.booleans())
 def test_remote_stream_matches_store(ops, then, first_word, read_flush,
-                                     gaps):
+                                     stores, one_target):
     index = 1
     offset = 0x4000 + first_word * WORD_BYTES
     lead = 2.0
+    gaps = [gap for gap, _pe in stores]
+    pes = [1 if one_target else pe for _gap, pe in stores]
     values = [500.0 + k for k in range(len(gaps))]
 
     def setup():
@@ -208,15 +211,18 @@ def test_remote_stream_matches_store(ops, then, first_word, read_flush,
         if read_flush and wb._pending:
             wb.flush_retired(clock)
         clock += gap
-        clock += node.remote.store(clock, 1, offset + k * WORD_BYTES,
+        clock += node.remote.store(clock, pes[k], offset + k * WORD_BYTES,
                                    values[k], full + k * WORD_BYTES)
         clock += lead
     ref = _machine_state(machine, clock)
 
     machine, node, start = setup()
     before = _machine_state(machine, start)
+    span = len(values) * WORD_BYTES
     end = node.remote.stream_stores(
-        start, 1, offset, full, values,
+        start, 1 if one_target else np.array(pes),
+        range(offset, offset + span, WORD_BYTES),
+        range(full, full + span, WORD_BYTES), values,
         BlockingSource(np.array(gaps), lead, read_flush))
     if end is None:
         assert any(g not in (0.0, 0.25, 1.0, 3.0, 6.5, 23.0, 140.0)

@@ -1,7 +1,7 @@
 """Golden equivalence: the cohort tier IS the reference.
 
 The cohort-batched scheduler (``repro.machine.cohort``) and the
-flattened scattered-put kernel (``SplitC.put_scatter``) are pure
+streamed runs of scattered puts (``SplitC.put_scatter``) are pure
 performance tiers: they must produce bit-identical simulations to the
 event-at-a-time reference scheduler with the generic per-element put
 loop.  Every scenario below runs twice on fresh machines —
@@ -10,7 +10,7 @@ loop.  Every scenario below runs twice on fresh machines —
   event-at-a-time scheduler, and every fast path falls back to its
   generic loop;
 * **cohort+flat** — the default: the cohort scheduler with the
-  flattened put group;
+  streamed put runs;
 
 and the full observable state (results, per-processor clocks, op
 stats, unit counters, raw memory words) must compare equal — same
@@ -24,12 +24,21 @@ synchronization-horizon shapes the cohort scheduler batches between.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import tiers
 from repro.apps import spmd_workloads
 from repro.machine.machine import Machine
-from repro.params import t3d_machine_params
+from repro.params import t3d_machine_params, workstation_node_params
+from repro.shell.remote import RemoteAccessUnit
+from repro.splitc.annex_policy import (
+    MultiAnnexPolicy,
+    OsManagedAnnexPolicy,
+    SingleAnnexPolicy,
+)
+from repro.splitc.codegen import default_plan
 
 
 def _machine_fingerprint(machine):
@@ -70,7 +79,7 @@ def _two_way(scenario):
 
 def _assert_identical(prints):
     assert prints["reference"] == prints["cohort+flat"], \
-        "cohort scheduler or flattened put group diverged from the reference"
+        "cohort scheduler or streamed put runs diverged from the reference"
 
 
 def _machine(shape=(2, 2, 1)):
@@ -247,6 +256,107 @@ def test_put_scatter_stats_and_clocks_identical():
                 _machine_fingerprint(machine))
 
     _assert_identical(_two_way(scenario))
+
+
+# ----------------------------------------------------------------------
+# put_scatter's streamed runs against the put_to loop, in full state
+# ----------------------------------------------------------------------
+
+_POLICIES = {
+    "single": (SingleAnnexPolicy, False),
+    "single-skip": (SingleAnnexPolicy, True),
+    "multi": (MultiAnnexPolicy, False),
+    "os-managed": (OsManagedAnnexPolicy, False),
+}
+
+
+#: Bytes between two rows of one T3D DRAM bank (4 banks of 16 KB).
+_SAME_BANK = 64 * 1024
+
+
+def _scatter_program(nputs):
+    """Two runs of ``nputs`` remote puts over three targets, split by a
+    local group.  Destinations share lines (merges) and alternate
+    between two rows of one target DRAM bank (drain peeks that see
+    retiring stores); a pending local store to a source word of the
+    first run, and the local group's stores to source words of the
+    second, must be forwarded; the second run's other sources hold
+    ints, which the planned reads load word by word."""
+    def program(sc):
+        me, n = sc.my_pe, sc.num_pes
+        src = sc.all_alloc(2 * nputs * 8)
+        dst = sc.all_alloc(2 * _SAME_BANK)
+        for i in range(2 * nputs):     # the second run's sources: ints
+            sc.ctx.local_write(src + i * 8, me * 1000 + i
+                               if i >= nputs else float(me * 1000 + i))
+        sc.ctx.memory_barrier()
+        yield from sc.barrier()
+        sc.ctx.local_write(src + 8, -1.0 - me)
+
+        def run(first):
+            targets = [(me + d) % n for d in range(1, 4)]
+            words = range(first, first + nputs)
+            return [(pe, [(src + w * 8, dst + w % 2 * _SAME_BANK
+                           + (me * 2 * nputs + w) * 8)
+                          for w in words[k::3]])
+                    for k, pe in enumerate(targets)]
+
+        local = (me, [(src + 8 * k, src + (nputs + k) * 8)
+                      for k in range(2)])
+        sc.put_scatter(run(0) + [local] + run(nputs))
+        wb = sc.ctx.node.memsys.write_buffer
+        after = (sc.ctx.clock, wb in wb.settle_queue, [
+            (e.line_addr, e.enqueue_time, e.retire_time,
+             sorted(e.words.items()), e.apply_words, e.meta and e.meta[0])
+            for e in wb._pending])
+        yield from sc.all_store_sync()
+        return after, vars(sc.annex_policy)
+
+    return program
+
+
+@pytest.mark.parametrize("node, policy", [
+    ("t3d", "single"), ("t3d", "single-skip"), ("t3d", "multi"),
+    ("t3d", "os-managed"), ("workstation", "single")])
+@pytest.mark.parametrize("short", [True, False], ids=["short", "long"])
+def test_put_scatter_runs_identical_in_full_state(monkeypatch, node,
+                                                  policy, short):
+    from repro.splitc.runtime import _MIN_STREAMED_PUTS, run_splitc
+
+    streamed = []
+    real = RemoteAccessUnit.stream_stores
+
+    def spy(*args):
+        clock = real(*args)
+        streamed.append(clock is not None)
+        return clock
+
+    monkeypatch.setattr(RemoteAccessUnit, "stream_stores", spy)
+    factory, skip = _POLICIES[policy]
+    plan = dataclasses.replace(default_plan(), annex_policy_factory=factory,
+                               annex_skip_when_unchanged=skip)
+    params = t3d_machine_params((2, 2, 1))
+    if node == "workstation":
+        params = dataclasses.replace(params, node=workstation_node_params())
+
+    def scenario():
+        machine = Machine(params)
+        results, runtimes = run_splitc(
+            machine, _scatter_program(_MIN_STREAMED_PUTS - short),
+            plan=plan)
+        annex = [(n.annex.updates,
+                  [n.annex.entry(i) for i in range(n.annex.params.entries)])
+                 for n in machine.nodes]
+        counters = [(n.memsys.counters(), n.remote.counters(),
+                     n.inbound_busy_until, n._arrivals)
+                    for n in machine.nodes]
+        return (results, _runtime_fingerprint(runtimes), annex, counters,
+                [wb.owner_pe for wb in machine._dirty_buffers],
+                _machine_fingerprint(machine))
+
+    _assert_identical(_two_way(scenario))
+    expect = node == "t3d" and factory is SingleAnnexPolicy and not short
+    assert streamed == ([True] * 2 * params.num_nodes if expect else [])
 
 
 # ----------------------------------------------------------------------

@@ -262,7 +262,7 @@ def test_fig9_em3d_sweep_matches_reference():
 
 
 def test_fig9_ghost_fill_fast_path_matches_reference():
-    """The planned blocking-read ghost fill and the flattened put
+    """The planned blocking-read ghost fill and the streamed put
     exchange must reproduce the generic ``read_from``/``put_to`` paths
     exactly — every version that fills ghosts, at a
     communication-heavy fraction."""

@@ -119,6 +119,13 @@ def test_impossible_geometry_is_rejected_at_construction(cls, field, value):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize("entries", [1, 0, -1])
+def test_annex_without_a_remote_register_is_rejected(entries):
+    with pytest.raises(ValueError, match="entries"):
+        P.AnnexParams(entries=entries)
+    P.AnnexParams(entries=2)
+
+
 def test_off_grid_but_possible_geometries_stay_accepted():
     P.WriteBufferParams(entries=3)
     P.CacheParams(associativity=2)

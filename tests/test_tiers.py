@@ -22,6 +22,7 @@ from repro.params import WORD_BYTES, t3d_machine_params
 from repro.shell.remote import RemoteAccessUnit
 from repro.splitc import bulk
 from repro.splitc.gptr import GlobalPtr
+from repro.splitc import runtime
 from repro.splitc.runtime import SplitC
 
 
@@ -104,9 +105,10 @@ def test_em3d_compute_block_takes_reference_branch(monkeypatch):
 
 def test_put_scatter_takes_reference_branch(monkeypatch):
     generic = _count_calls(monkeypatch, SplitC, "put_to")
-    groups = [(1, [(0x100, 0x6000), (0x108, 0x6008)])]
+    nputs = runtime._MIN_STREAMED_PUTS
+    groups = [(1, [(0x100 + 8 * i, 0x6000 + 8 * i) for i in range(nputs)])]
     _pair_runtime().put_scatter(groups)
     assert generic == []
     with tiers.reference():
         _pair_runtime().put_scatter(groups)
-    assert len(generic) == 2
+    assert len(generic) == nputs

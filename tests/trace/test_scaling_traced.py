@@ -10,9 +10,9 @@ with emission, and the per-primitive counter harvest spans all 1024
 processor instances.
 
 Gated behind ``REPRO_SCALING_FULL`` (a traced full-scale run takes on
-the order of a minute: tracing forces the flattened put kernel back to
-the generic per-element loop, which is itself part of what this test
-exercises).
+the order of a minute: tracing forces ``put_scatter``'s streamed runs
+back to the generic per-element loop, which is itself part of what this
+test exercises).
 """
 
 import os
