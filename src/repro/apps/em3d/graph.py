@@ -7,6 +7,10 @@ deterministic (seeded) and replicated: every SPMD thread builds the
 same global graph and extracts its own slice, which is how the real
 program's preprocessing step distributed the structure.
 
+Each direction's edges are stored per processor as three flat arrays in
+edge order (node ``i``'s edges are entries ``i * degree`` on): the
+owning processor and index of the neighbor, and the weight.
+
 Besides adjacency, the generator emits the **communication plan** the
 optimized versions share: for every (consumer, source) processor pair,
 the sorted list of distinct source-node indices the consumer needs.
@@ -18,8 +22,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-__all__ = ["CommPlan", "Em3dGraph", "make_graph"]
+import numpy as np
+
+__all__ = ["CommPlan", "EdgeArrays", "Em3dGraph", "make_graph"]
+
+
+class EdgeArrays(NamedTuple):
+    """One processor's edges of one direction, in edge order."""
+
+    #: int64: the processor owning each edge's neighbor.
+    owner: np.ndarray
+    #: int64: the neighbor's index on its owner.
+    idx: np.ndarray
+    #: float64: the edge weight.
+    weight: np.ndarray
 
 
 @dataclass
@@ -40,35 +58,44 @@ class CommPlan:
     #: of scanning all N processors per fill phase.  ``idxs`` aliases
     #: ``needed[consumer][s]`` and the consumer's ghost slots for this
     #: source are ``slot_base + k`` in that order.
-    senders: list[list[tuple[int, list[int], int]]] = field(default=None)
+    senders: list[list[tuple[int, list[int], int]]]
+    #: ghost_src[c], ghost_idx[c] -> int64 arrays: the source processor
+    #: and index of each of consumer c's ghost slots, in slot order.
+    ghost_src: list[np.ndarray]
+    ghost_idx: list[np.ndarray]
+    #: edge_slot[c] -> int64 array: the ghost slot each of c's edges
+    #: reads (in edge order; -1 for a local edge).
+    edge_slot: list[np.ndarray]
+    #: bases[c][s] -> the first ghost slot on c assigned to source s.
+    bases: list[dict[int, int]]
 
     def ghost_count(self, consumer: int) -> int:
-        return len(self.ghost_slot[consumer])
+        return len(self.ghost_src[consumer])
 
     def slot_base(self, consumer: int, source: int) -> int:
         """First ghost slot on ``consumer`` assigned to ``source``."""
-        base = 0
-        for s in sorted(self.needed[consumer]):
-            if s == source:
-                return base
-            base += len(self.needed[consumer][s])
-        raise KeyError(f"consumer {consumer} needs nothing from {source}")
+        try:
+            return self.bases[consumer][source]
+        except KeyError:
+            raise KeyError(f"consumer {consumer} needs nothing from "
+                           f"{source}") from None
 
 
 @dataclass
 class Em3dGraph:
     """A distributed bipartite EM3D graph.
 
-    ``e_adj[p][i]`` lists ``(owner_pe, h_index, weight)`` for the i-th
-    E node on processor p; ``h_adj`` mirrors it for H nodes.
+    ``e_edges[p]`` holds the edges of processor p's E nodes (each to an
+    H node), ``h_edges[p]`` those of its H nodes; see
+    :class:`EdgeArrays` and :meth:`adjacency`.
     """
 
     num_pes: int
     nodes_per_pe: int
     degree: int
     remote_fraction: float
-    e_adj: list[list[list[tuple[int, int, float]]]]
-    h_adj: list[list[list[tuple[int, int, float]]]]
+    e_edges: list[EdgeArrays]
+    h_edges: list[EdgeArrays]
     e_plan: CommPlan = field(default=None)
     h_plan: CommPlan = field(default=None)
 
@@ -77,45 +104,64 @@ class Em3dGraph:
         """Directed edges processed per processor per whole time step."""
         return 2 * self.nodes_per_pe * self.degree
 
+    def adjacency(self, direction: str, pe: int):
+        """Processor ``pe``'s edges of ``direction`` ("e" or "h") as
+        lists: ``[node][k] -> (owner, idx, weight)``.  Built on each
+        call from the arrays (for the sequential reference and tests)."""
+        edges = self.e_edges[pe] if direction == "e" else self.h_edges[pe]
+        flat = list(zip(edges.owner.tolist(), edges.idx.tolist(),
+                        edges.weight.tolist()))
+        d = self.degree
+        return [flat[i:i + d] for i in range(0, len(flat), d)]
+
     def remote_edge_fraction(self) -> float:
         """The realized fraction of edges that cross processors."""
-        remote = 0
-        total = 0
-        for adj in (self.e_adj, self.h_adj):
-            for pe, nodes in enumerate(adj):
-                for edges in nodes:
-                    for owner, _idx, _w in edges:
-                        total += 1
-                        remote += owner != pe
-        return remote / total if total else 0.0
+        remote = sum(int((edges.owner != pe).sum())
+                     for adj in (self.e_edges, self.h_edges)
+                     for pe, edges in enumerate(adj))
+        total = 2 * self.num_pes * self.nodes_per_pe * self.degree
+        return remote / total
 
 
-def _build_plan(adj, num_pes: int) -> CommPlan:
-    """Communication plan for one direction (who reads what)."""
-    needed_sets: list[dict[int, set[int]]] = [dict() for _ in range(num_pes)]
-    for consumer in range(num_pes):
-        for edges in adj[consumer]:
-            for owner, idx, _w in edges:
-                if owner != consumer:
-                    needed_sets[consumer].setdefault(owner, set()).add(idx)
-    needed = [
-        {s: sorted(idxs) for s, idxs in by_src.items()}
-        for by_src in needed_sets
-    ]
-    ghost_slot: list[dict[tuple[int, int], int]] = []
+def _build_plan(adj: list[EdgeArrays], nodes_per_pe: int) -> CommPlan:
+    """Communication plan for one direction (who reads what).
+
+    A consumer's ghost slots are its distinct remote ``(source, idx)``
+    pairs in ascending order, so ``np.unique`` of ``source * n + idx``
+    numbers them and its inverse maps each edge to its slot.
+    """
+    num_pes = len(adj)
+    n = nodes_per_pe
+    needed, ghost_slot, bases = [], [], []
+    ghost_src, ghost_idx, edge_slot = [], [], []
     senders: list[list[tuple[int, list[int], int]]] = [
         [] for _ in range(num_pes)]
-    for consumer in range(num_pes):
-        slots: dict[tuple[int, int], int] = {}
-        slot = 0
-        for s in sorted(needed[consumer]):
-            idxs = needed[consumer][s]
-            senders[s].append((consumer, idxs, slot))
-            for idx in idxs:
-                slots[(s, idx)] = slot
-                slot += 1
-        ghost_slot.append(slots)
-    return CommPlan(needed=needed, ghost_slot=ghost_slot, senders=senders)
+    for consumer, edges in enumerate(adj):
+        remote = edges.owner != consumer
+        keys, inverse = np.unique(edges.owner[remote] * n
+                                  + edges.idx[remote], return_inverse=True)
+        slot = np.full(len(edges.owner), -1, dtype=np.int64)
+        slot[remote] = inverse
+        src, idx = keys // n, keys % n
+        sources, starts = np.unique(src, return_index=True)
+        idx_list = idx.tolist()
+        stops = [*starts.tolist()[1:], len(keys)]
+        by_src = {}
+        base_of = {}
+        for s, lo, hi in zip(sources.tolist(), starts.tolist(), stops):
+            by_src[s] = idx_list[lo:hi]
+            base_of[s] = lo
+            senders[s].append((consumer, by_src[s], lo))
+        needed.append(by_src)
+        bases.append(base_of)
+        ghost_slot.append(dict(zip(zip(src.tolist(), idx_list),
+                                   range(len(keys)))))
+        ghost_src.append(src)
+        ghost_idx.append(idx)
+        edge_slot.append(slot)
+    return CommPlan(needed=needed, ghost_slot=ghost_slot, senders=senders,
+                    ghost_src=ghost_src, ghost_idx=ghost_idx,
+                    edge_slot=edge_slot, bases=bases)
 
 
 def make_graph(num_pes: int, nodes_per_pe: int, degree: int,
@@ -133,35 +179,36 @@ def make_graph(num_pes: int, nodes_per_pe: int, degree: int,
     if remote_fraction > 0 and num_pes < 2:
         raise ValueError("remote edges need at least two processors")
     rng = random.Random(seed)
+    draw = rng.random
+    randrange = rng.randrange
+    nedges = nodes_per_pe * degree
 
     def one_direction():
         adj = []
         for pe in range(num_pes):
-            nodes = []
-            for _ in range(nodes_per_pe):
-                edges = []
-                for _ in range(degree):
-                    if num_pes > 1 and rng.random() < remote_fraction:
-                        owner = rng.randrange(num_pes - 1)
-                        if owner >= pe:
-                            owner += 1
-                    else:
-                        owner = pe
-                    idx = rng.randrange(nodes_per_pe)
-                    weight = rng.uniform(0.1, 1.0)
-                    edges.append((owner, idx, weight))
-                nodes.append(edges)
-            adj.append(nodes)
+            owners, idxs, draws = [], [], []
+            for _ in range(nedges):
+                if num_pes > 1 and draw() < remote_fraction:
+                    owner = randrange(num_pes - 1)
+                    owners.append(owner + (owner >= pe))
+                else:
+                    owners.append(pe)
+                idxs.append(randrange(nodes_per_pe))
+                draws.append(draw())
+            # rng.uniform(0.1, 1.0) is 0.1 + (1.0 - 0.1) * random().
+            adj.append(EdgeArrays(
+                np.array(owners, dtype=np.int64),
+                np.array(idxs, dtype=np.int64),
+                0.1 + (1.0 - 0.1) * np.array(draws)))
         return adj
 
-    e_adj = one_direction()
-    h_adj = one_direction()
-    graph = Em3dGraph(
+    e_edges = one_direction()
+    h_edges = one_direction()
+    return Em3dGraph(
         num_pes=num_pes, nodes_per_pe=nodes_per_pe, degree=degree,
-        remote_fraction=remote_fraction, e_adj=e_adj, h_adj=h_adj)
-    graph.e_plan = _build_plan(e_adj, num_pes)
-    graph.h_plan = _build_plan(h_adj, num_pes)
-    return graph
+        remote_fraction=remote_fraction, e_edges=e_edges, h_edges=h_edges,
+        e_plan=_build_plan(e_edges, nodes_per_pe),
+        h_plan=_build_plan(h_edges, nodes_per_pe))
 
 
 def initial_values(graph: Em3dGraph, kind: str, seed: int = 7):

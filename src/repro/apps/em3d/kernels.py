@@ -70,6 +70,7 @@ class Layout:
     h_adj: int
     gather: int            # per-consumer gather buffers (bulk version)
     gather_pair_words: int
+    max_ghosts: int        # ghost slots per direction on every processor
 
 
 @dataclass
@@ -86,16 +87,6 @@ class Em3dResult:
     stats: object = None
 
 
-def _plan_max_ghosts(graph: Em3dGraph) -> int:
-    return max(
-        max((graph.e_plan.ghost_count(pe) for pe in range(graph.num_pes)),
-            default=0),
-        max((graph.h_plan.ghost_count(pe) for pe in range(graph.num_pes)),
-            default=0),
-        1,
-    )
-
-
 def _setup(machine, graph: Em3dGraph, version: str,
            seed: int = 7) -> Layout:
     """Place values, ghosts, adjacency, and gather buffers in memory.
@@ -106,11 +97,11 @@ def _setup(machine, graph: Em3dGraph, version: str,
     n = graph.nodes_per_pe
     entry_words = 2
     adj_words = n * graph.degree * entry_words
-    max_ghosts = _plan_max_ghosts(graph)
+    plans = (graph.e_plan, graph.h_plan)
+    max_ghosts = max(1, *(plan.ghost_count(pe) for plan in plans
+                          for pe in range(graph.num_pes)))
     gather_pair_words = max(
-        (len(idxs)
-         for plan in (graph.e_plan, graph.h_plan)
-         for by_src in plan.needed
+        (len(idxs) for plan in plans for by_src in plan.needed
          for idxs in by_src.values()),
         default=1,
     ) or 1
@@ -125,6 +116,7 @@ def _setup(machine, graph: Em3dGraph, version: str,
         gather=machine.symmetric_segment(
             graph.num_pes * gather_pair_words, "f8", WORD_BYTES),
         gather_pair_words=gather_pair_words,
+        max_ghosts=max_ghosts,
     )
 
     ghost_stride = WORD_BYTES if version == "bulk" else VALUE_BYTES
@@ -142,30 +134,21 @@ def _setup(machine, graph: Em3dGraph, version: str,
         mem.alloc_segment(layout.h_ghosts, max_ghosts, "f8", ghost_stride)
         mem.segment_at(layout.e_vals).fill(0, e0[pe])
         mem.segment_at(layout.h_vals).fill(0, h0[pe])
-        for direction in ("e", "h"):
-            adj = graph.e_adj if direction == "e" else graph.h_adj
-            plan = graph.e_plan if direction == "e" else graph.h_plan
-            vals = layout.h_vals if direction == "e" else layout.e_vals
-            ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
-            base = layout.e_adj if direction == "e" else layout.h_adj
-            slots = plan.ghost_slot[pe]
-            refs = []
-            weights = []
-            for edges in adj[pe]:
-                for owner, idx, weight in edges:
-                    if version == "simple":
-                        ref = GlobalPtr(owner,
-                                        vals + idx * VALUE_BYTES).encode()
-                    elif owner == pe:
-                        ref = vals + idx * VALUE_BYTES
-                    else:
-                        ref = ghosts + slots[(owner, idx)] * ghost_stride
-                    refs.append(ref)
-                    weights.append(weight)
+        for edges, plan, vals, ghosts, base in (
+                (graph.e_edges[pe], graph.e_plan, layout.h_vals,
+                 layout.e_ghosts, layout.e_adj),
+                (graph.h_edges[pe], graph.h_plan, layout.e_vals,
+                 layout.h_ghosts, layout.h_adj)):
+            addrs = vals + edges.idx * VALUE_BYTES
+            if version == "simple":
+                refs = (edges.owner << GPTR_PE_SHIFT) | addrs
+            else:
+                refs = np.where(edges.owner == pe, addrs, ghosts
+                                + plan.edge_slot[pe] * ghost_stride)
             mem.alloc_segment(base, nedges, "i8",
                               entry_words * WORD_BYTES).fill(0, refs)
             mem.alloc_segment(base + WORD_BYTES, nedges, "f8",
-                              entry_words * WORD_BYTES).fill(0, weights)
+                              entry_words * WORD_BYTES).fill(0, edges.weight)
     return layout
 
 
@@ -291,6 +274,7 @@ def _planned_rows(ctx, r0, r1, degree, adj_base, out_base,
 def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
     """Fill ghosts with blocking reads (bundle/unroll) or gets.
 
+    The get version is one :meth:`SplitC.get_scatter` and a ``sync``.
     Blocking reads run a block at a time as :meth:`SplitC.plan_reads`
     then a load-free :meth:`MemorySystem.plan_block` of the ghost
     stores.  A block that either plan declines, and every block under
@@ -302,35 +286,34 @@ def _ghost_fill_reads(sc, graph, layout, direction: str, use_get: bool):
     vals = layout.h_vals if direction == "e" else layout.e_vals
     ghosts = layout.e_ghosts if direction == "e" else layout.h_ghosts
     me = sc.my_pe
-    slots = plan.ghost_slot[me]
     start_clock = ctx.clock if _trace.TRACE_ENABLED else 0.0
-    fills = [(src, vals + idx * VALUE_BYTES,
-              ghosts + slots[(src, idx)] * VALUE_BYTES)
-             for src in sorted(plan.needed[me])
-             for idx in plan.needed[me][src]]
+    srcs = plan.ghost_src[me]
+    addrs = vals + plan.ghost_idx[me] * VALUE_BYTES
+    dsts = ghosts + np.arange(len(srcs)) * VALUE_BYTES
     if use_get:
-        for src, addr, ghost in fills:
-            sc.get_from(src, addr, ghost)
+        sc.get_scatter(srcs, addrs, dsts)
         sc.sync()
     else:
         fast = tiers.fast()
-        for k0 in range(0, len(fills), _BLOCK_EDGES):
-            block = np.array(fills[k0:k0 + _BLOCK_EDGES], dtype=np.int64)
-            reads = fast and sc.plan_reads(block[:, 0], block[:, 1])
+        for k0 in range(0, len(srcs), _BLOCK_EDGES):
+            block = slice(k0, k0 + _BLOCK_EDGES)
+            reads = fast and sc.plan_reads(srcs[block], addrs[block])
             stores = reads and ctx.node.memsys.plan_block(
-                ctx.clock, block[:0, 0], block[:, 2], 0,
+                ctx.clock, dsts[:0], dsts[block], 0,
                 values=reads.values, row_extra=reads.cycles)
             if stores:
                 reads.commit()
                 ctx.clock = stores.end_clock
                 continue
-            for src, addr, ghost in fills[k0:k0 + _BLOCK_EDGES]:
+            for src, addr, ghost in zip(srcs[block].tolist(),
+                                        addrs[block].tolist(),
+                                        dsts[block].tolist()):
                 ctx.local_write(ghost, sc.read_from(src, addr))
     if _trace.TRACE_ENABLED:
         _trace.emit("annex_ghost_fill", t=start_clock, pe=me,
                     direction=direction,
                     mechanism="get" if use_get else "read",
-                    count=len(fills), cycles=sc.ctx.clock - start_clock)
+                    count=len(srcs), cycles=sc.ctx.clock - start_clock)
 
 
 def _ghost_fill_puts(sc, graph, layout, direction: str):
@@ -393,10 +376,10 @@ def _gather_and_bulk(sc, graph, layout, direction: str):
                     count=fetched, cycles=sc.ctx.clock - start_clock)
 
 
-def _ghost_region(graph, layout, direction: str):
+def _ghost_region(layout, direction: str):
     """The consumer-side ghost address region for one direction."""
     base = layout.e_ghosts if direction == "e" else layout.h_ghosts
-    return (base, base + _plan_max_ghosts(graph) * VALUE_BYTES)
+    return (base, base + layout.max_ghosts * VALUE_BYTES)
 
 
 def _half_step(sc, graph, layout, version: str, direction: str,
@@ -422,8 +405,7 @@ def _half_step(sc, graph, layout, version: str, direction: str,
         plan = graph.e_plan if direction == "e" else graph.h_plan
         expected = plan.ghost_count(sc.my_pe) * WORD_BYTES
         yield from sc.store_sync(expected,
-                                 region=_ghost_region(graph, layout,
-                                                      direction))
+                                 region=_ghost_region(layout, direction))
     else:
         raise ValueError(f"unknown EM3D version {version!r}")
     ctx = sc.ctx

@@ -18,14 +18,14 @@ def reference_step(graph: Em3dGraph, e_values, h_values):
     new_e = [
         [
             sum(w * h_values[owner][idx] for owner, idx, w in edges)
-            for edges in graph.e_adj[pe]
+            for edges in graph.adjacency("e", pe)
         ]
         for pe in range(graph.num_pes)
     ]
     new_h = [
         [
             sum(w * new_e[owner][idx] for owner, idx, w in edges)
-            for edges in graph.h_adj[pe]
+            for edges in graph.adjacency("h", pe)
         ]
         for pe in range(graph.num_pes)
     ]

@@ -82,9 +82,10 @@ class Node:
         # the plain Split-C ``store_sync`` and the region-scoped
         # extension used by message-driven phase counting.
         self._arrivals: list[tuple[float, int, int]] = []
-        # Running unscoped total, so the store_sync fast path does not
-        # re-sum the whole log per poll.
+        # Running totals, unscoped and per queried region, so
+        # store_sync polls do not re-sum the whole log.
         self._arrived_total = 0
+        self._region_totals: dict[tuple[int, int], int] = {}
         #: Wake-event list installed by the cohort scheduler
         #: (:mod:`repro.machine.cohort`): each recorded arrival appends
         #: a ``("y", pe)`` event — the only state change that can make
@@ -103,6 +104,7 @@ class Node:
         self.msgq.reset()
         self._arrivals = []
         self._arrived_total = 0
+        self._region_totals = {}
         self.inbound_busy_until = 0.0
         # _peer_exports survives reset on purpose: every member is a
         # stable object whose state containers reset in place.
@@ -150,6 +152,9 @@ class Node:
                                                    float("inf"), 0))
             arrivals.insert(index, entry)
         self._arrived_total += nbytes
+        for region in self._region_totals:
+            if region[0] <= addr < region[1]:
+                self._region_totals[region] += nbytes
         if self.wake_sink is not None:
             self.wake_sink.append(("y", self.pe))
 
@@ -161,11 +166,19 @@ class Node:
 
     def bytes_arrived_total(self, region=None) -> int:
         """All bytes stored into this node (optionally only those
-        landing in the half-open address ``region``)."""
+        landing in the half-open address ``region``).  A region's total
+        is summed from the log when first asked for, then kept running
+        by :meth:`record_store_arrival` (a sum does not depend on the
+        order arrivals are logged in)."""
         if region is None:
             return self._arrived_total
-        return sum(nbytes for _t, nbytes, addr in self._arrivals
-                   if self._in_region(addr, region))
+        region = tuple(region)
+        total = self._region_totals.get(region)
+        if total is None:
+            total = self._region_totals[region] = sum(
+                nbytes for _t, nbytes, addr in self._arrivals
+                if self._in_region(addr, region))
+        return total
 
     def time_when_bytes_arrived(self, target_bytes: int,
                                 region=None) -> float:

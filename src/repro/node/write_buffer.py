@@ -62,8 +62,17 @@ class BlockingSource(NamedTuple):
 class PrefetchSource(NamedTuple):
     """Clock input of a store stream fed by the prefetch FIFO: store
     ``k`` issues ``pop_cycles`` after read ``k``'s reply (or after the
-    previous store's loop overhead, if later); read ``k + D`` issues
-    ``loop_cycles`` after store ``k`` and costs ``issue_cycles``."""
+    previous store's loop overhead, if later), and ``loop_cycles`` after
+    it the next reads issue.
+
+    Reads issue ``group`` at a time: with ``group`` 1, read ``k + D``
+    issues after store ``k`` (a queue kept full, as the pipelined bulk
+    read does); with ``group`` ``D``, reads ``k + 1 .. k + D`` issue
+    after every ``D``-th store ``k`` (drain the queue, then refill it,
+    as Split-C's gets do).  Each issue costs ``issue_cycles`` after the
+    read leaves and, in groups of more than one, ``pre_issue[j]`` cycles
+    before it (an Annex set-up).
+    """
 
     #: Reply times of the ``D`` reads issued before the first pop.
     ready: list
@@ -73,6 +82,10 @@ class PrefetchSource(NamedTuple):
     pop_cycles: float
     loop_cycles: float
     issue_cycles: float
+    group: int = 1
+    #: float64 numpy array, one charge per read (``group`` > 1 only);
+    #: None charges nothing.
+    pre_issue: object = None
 
 
 class PendingWrite:
@@ -436,11 +449,19 @@ class WriteBuffer:
         prefetch = isinstance(source, PrefetchSource)
         if prefetch:
             cycles = source.latency
+            pre = source.pre_issue
             times = [now, last, *e_retire, *source.ready]
             per_store = (source.pop_cycles + source.loop_cycles
                          + source.issue_cycles)
             charges = [source.pop_cycles, source.loop_cycles,
                        source.issue_cycles]
+            if not 1 <= source.group <= len(source.ready):
+                return None
+            if pre is not None:
+                if (source.group == 1 or not array_on_grid(pre)
+                        or pre.min() < 0):
+                    return None
+                per_store += float(pre.max())
         else:
             cycles = source.gaps
             times = [now, last, *e_retire]
@@ -480,7 +501,11 @@ class WriteBuffer:
         if prefetch:
             ready = deque(source.ready)
             depth = len(ready)
+            group = source.group
             pop, loop, fetch = charges
+            if group > 1:
+                refill = cycles.tolist()
+                pre = [0.0] * n if pre is None else pre.tolist()
         else:
             lead = source.lead
             read_flush = source.flush
@@ -552,9 +577,16 @@ class WriteBuffer:
                     clock += issue + stall
                 if prefetch:
                     clock += loop
-                    if k + depth < n:
-                        ready.append(clock + chunk[k - c0])
-                        clock += fetch
+                    if group == 1:
+                        if k + depth < n:
+                            ready.append(clock + chunk[k - c0])
+                            clock += fetch
+                    elif (k + 1) % group == 0:
+                        for j in range(k + 1 + depth - group,
+                                       min(n, k + 1 + depth)):
+                            clock += pre[j]
+                            ready.append(clock + refill[j])
+                            clock += fetch
                 else:
                     clock += lead
 

@@ -24,13 +24,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.node.exact import on_grid
+import numpy as _np
+
+from repro.node.exact import array_on_grid, on_grid
 from repro.node.memory import WordRun
 from repro.node.memsys import ReadPlan
 from repro.node.write_buffer import PrefetchSource
 from repro.params import (
     LOCAL_ADDR_MASK,
-    WORD_BYTES,
     NetworkParams,
     PrefetchParams,
 )
@@ -104,57 +105,104 @@ class PrefetchQueue:
             )
         return peer
 
-    def plan_read(self, now: float, pe: int, offset: int, nwords: int,
-                  loop_cycles: float):
-        """The pipelined read of the words at ``offset + 8 * i`` of
-        ``pe`` that ``bulk_read_prefetch`` runs from an empty queue at
-        ``now``: issue ``depth`` reads, then per word pop, store,
-        ``loop_cycles`` and issue the next read.
+    def plan_read(self, now: float, pes, offsets, loop_cycles: float,
+                  group: int = 1, pre_issue=None, table_cycles: float = 0.0):
+        """The pipelined read of word ``offsets[k]`` of processor
+        ``pes[k]`` — one processor and a ``range`` of word offsets, or
+        int64 numpy arrays of both — from an empty queue at ``now``,
+        each read's value stored by a store stream: the first ``depth``
+        reads issue, then each store pops one read, ``loop_cycles``
+        follow it, and reads issue ``group`` at a time
+        (:class:`PrefetchSource`).  With ``group`` > 1 each issue pays
+        ``pre_issue[k]`` (or nothing) before it; each issue and pop pays
+        ``table_cycles`` after it (Split-C's get table).
 
         Returns ``(clock, source, plan)``: the clock after the first
         issues, the :class:`PrefetchSource` of the store stream, and
         the :class:`ReadPlan` whose ``commit()`` leaves the queue and
-        the target's DRAM as the per-word loop does.  The target's DRAM
-        row events (remote off-page penalty) are timed in one pass.
-        None where that is not exact: a non-empty queue, a window that
-        needs the small-group barrier, tracing, reading this node, or
-        off the exactness grid.
+        the targets' DRAM as the per-word loop does.  Each target's
+        DRAM row events (remote off-page penalty) are timed in one pass.
+        None where that is not exact: a non-empty queue, a window or
+        group that needs the small-group barrier, groups that do not
+        divide the reads, tracing, reading this node, a word outside
+        the local offsets, off the exactness grid, or (array offsets) a
+        word that holds no float.
         """
-        mask = LOCAL_ADDR_MASK
         p = self.params
-        window = min(p.queue_depth, nwords)
-        if (_trace.TRACE_ENABLED or self._fifo
-                or self._issued_since_pop or pe == self.my_pe
-                or window < p.small_group_barrier_threshold
-                or offset < 0 or offset + (nwords - 1) * WORD_BYTES > mask):
+        n = len(offsets)
+        window = min(p.queue_depth, n)
+        ranged = isinstance(offsets, range)
+        if not n or _trace.TRACE_ENABLED or self._fifo \
+                or self._issued_since_pop:
             return None
-        target = self.fabric.node(pe)
-        _access, same_bank, base, extra_hop_cycles, _load = self._peer(pe)
-        planned = target.memsys.dram.plan_access(
-            range(offset, offset + nwords * WORD_BYTES, WORD_BYTES),
-            15.0, same_bank)
-        if planned is None or not all(on_grid(x) for x in (
-                now, p.issue_cycles, p.round_trip_cycles, base,
-                extra_hop_cycles, loop_cycles)):
+        lo, hi = ((offsets[0], offsets[-1]) if ranged
+                  else (int(offsets.min()), int(offsets.max())))
+        if (window < p.small_group_barrier_threshold or lo < 0
+                or hi > LOCAL_ADDR_MASK
+                or not (group == 1 or (
+                    p.small_group_barrier_threshold <= group <= window
+                    and n % group == 0))
+                or (pre_issue is not None and not array_on_grid(pre_issue))
+                or not all(on_grid(x) for x in (
+                    now, p.issue_cycles, p.round_trip_cycles, loop_cycles,
+                    table_cycles))):
             return None
-        costs, dram_commit = planned
-        latency = (p.issue_cycles + p.round_trip_cycles + (costs - base)
-                   + extra_hop_cycles)
-        ready = [now + i * p.issue_cycles + lat
-                 for i, lat in enumerate(latency[:window].tolist())]
-        source = PrefetchSource(ready, latency, p.pop_cycles, loop_cycles,
-                                p.issue_cycles)
-        values = WordRun(target.memsys.memory, offset, nwords)
+        if ranged:
+            parts = [(pes, offsets, slice(None))]
+        else:
+            order = _np.argsort(pes, kind="stable")
+            targets, starts = _np.unique(pes[order], return_index=True)
+            parts = [(pe, offsets[reads], reads) for pe, reads in zip(
+                targets.tolist(), _np.split(order, starts[1:]))]
+        remote = self.fabric.node(self.my_pe).remote
+        isolate = [remote.inbound(self.my_pe)]
+        latency = _np.empty(n)
+        values = _np.empty(n)
+        commits = []
+        for pe, part, reads in parts:
+            if pe == self.my_pe:
+                return None
+            target = self.fabric.node(pe)
+            _access, same_bank, base, extra_hop_cycles, _load = \
+                self._peer(pe)
+            planned = target.memsys.dram.plan_access(part, 15.0, same_bank)
+            if planned is None or not (on_grid(base)
+                                       and on_grid(extra_hop_cycles)):
+                return None
+            costs, dram_commit = planned
+            latency[reads] = (costs - base) + extra_hop_cycles
+            memory = target.memsys.memory
+            if ranged:
+                values = WordRun(memory, part.start, n)
+            else:
+                words = memory.gather(part, "f8", written=True)
+                if words is None:
+                    return None
+                values[reads] = words
+            commits.append(dram_commit)
+            isolate.append(remote.inbound(pe))
+        latency += p.issue_cycles + p.round_trip_cycles
+        step = p.issue_cycles + table_cycles
+        pre = ([0.0] * window if pre_issue is None
+               else pre_issue[:window].tolist())
+        ready = []
+        clock = now
+        for j, lat in enumerate(latency[:window].tolist()):
+            clock += pre[j]
+            ready.append(clock + lat)
+            clock += step
+        source = PrefetchSource(ready, latency, p.pop_cycles + table_cycles,
+                                loop_cycles, step, group, pre_issue)
+        if not ranged:
+            values = values.tolist()
 
         def commit():
-            dram_commit()
-            self.issues += nwords
-            self.pops += nwords
+            for dram_commit in commits:
+                dram_commit()
+            self.issues += n
+            self.pops += n
 
-        remote = self.fabric.node(self.my_pe).remote
-        plan = ReadPlan(None, values, commit,
-                        (remote.inbound(pe), remote.inbound(self.my_pe)))
-        return now + window * p.issue_cycles, source, plan
+        return clock, source, ReadPlan(None, values, commit, tuple(isolate))
 
     def issue(self, now: float, pe: int, offset: int) -> float:
         """Issue one binding prefetch; returns the 4-cycle issue cost.

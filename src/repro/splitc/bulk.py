@@ -174,8 +174,9 @@ def bulk_read_prefetch(sc, dst_offset: int, src: GlobalPtr,
     pf = ctx.node.prefetch
     nwords = _words(nbytes)
     if _batched(ctx):
-        planned = pf.plan_read(ctx.clock, src.pe, src.addr, nwords,
-                               ctx.node.alpha.loop_iteration())
+        planned = pf.plan_read(ctx.clock, src.pe, range(
+            src.addr, src.addr + nwords * WORD_BYTES, WORD_BYTES),
+            ctx.node.alpha.loop_iteration())
         if planned is not None:
             clock, source, plan = planned
             if _stream_reads(ctx, clock, dst_offset, plan, source):

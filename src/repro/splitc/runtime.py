@@ -52,6 +52,13 @@ __all__ = ["SplitC", "run_splitc"]
 #: at 64 (2-core x86 host, CPython 3.11).
 _MIN_STREAMED_PUTS = 56
 
+#: Fewest gets for which :meth:`SplitC.get_scatter` streams its drained
+#: groups.  The plans cost ~300-500 us of fixed set-up, against ~11 us
+#: per get of the loop and ~4.5 us streamed: on a 4-PE T3D reading from
+#: 3 targets, streaming took 1.3x the loop's time at 65 gets and 0.9x at
+#: 81 (2-core x86 host, CPython 3.11).
+_MIN_STREAMED_GETS = 80
+
 
 class SplitC:
     """Per-thread Split-C runtime."""
@@ -273,6 +280,68 @@ class SplitC:
         self.ctx.charge(pf.params.table_cycles)   # table update
         self._get_targets.append(local_offset)
         self._record("get (issue)", before)
+
+    def get_scatter(self, pes, addrs, dsts) -> None:
+        """Split-phase gets of word ``addrs[k]`` on processor ``pes[k]``
+        into local ``dsts[k]`` (int64 numpy arrays): the bulk primitive
+        behind a ghost fill.  Semantically identical to::
+
+            for pe, addr, dst in zip(pes, addrs, dsts):
+                self.get_from(pe, addr, dst)
+
+        which is how it runs unless :meth:`_stream_gets` can time its
+        drained groups as one pass.  The last group stays in the queue
+        for :meth:`sync`, as the loop leaves it.
+        """
+        done = self._stream_gets(pes, addrs, dsts)
+        for pe, addr, dst in zip(pes[done:].tolist(), addrs[done:].tolist(),
+                                 dsts[done:].tolist()):
+            self.get_from(pe, addr, dst)
+
+    def _stream_gets(self, pes, addrs, dsts) -> int:
+        """Run every get of ``get_scatter`` up to its last group as one
+        composition; returns how many ran (0: nothing changed).
+
+        From an empty queue the loop issues ``depth`` gets, then each
+        further get first drains the full queue — pop, table lookup,
+        local store per entry — so its issues come ``depth`` at a time
+        after every ``depth``-th store.  The Annex set-ups are planned
+        by :meth:`SingleAnnexPolicy.plan`, the reads and their issue
+        and pop times by :meth:`PrefetchQueue.plan_read` (group
+        ``depth``), and the stores of the drained groups run through
+        one :meth:`MemorySystem.stream_writes`; the gets after the last
+        drain are left to the loop, which finds an empty queue.  Runs
+        none with the fast paths off, under span tracing, for another
+        Annex policy, with a get outstanding, for a local source, with
+        fewer than :data:`_MIN_STREAMED_GETS` gets, or where a plan
+        declines."""
+        node = self.ctx.node
+        pf = node.prefetch
+        depth = pf.depth
+        count = (len(pes) - 1) // depth * depth
+        if (len(pes) < _MIN_STREAMED_GETS or count <= 0 or not tiers.fast()
+                or self.trace is not None or self._get_targets
+                or type(self.annex_policy) is not SingleAnnexPolicy
+                or (pes == self.my_pe).any()):
+            return 0
+        pes, addrs = pes[:count], addrs[:count]
+        annex_cycles, annex_commit = self.annex_policy.plan(node.annex, pes)
+        start = self.ctx.clock
+        planned = pf.plan_read(start, pes, addrs, 0.0, group=depth,
+                               pre_issue=annex_cycles,
+                               table_cycles=pf.params.table_cycles)
+        if planned is None:
+            return 0
+        clock, source, plan = planned
+        end = node.memsys.stream_writes(clock, dsts[:count].tolist(),
+                                        plan.values, source, plan.isolate)
+        if end is None:
+            return 0
+        plan.commit()
+        annex_commit()
+        self.ctx.clock = end
+        self.stats.add("get (issue)", count, end - start)
+        return count
 
     def put(self, gp: GlobalPtr, value) -> None:
         """Initiate a split-phase write; ~45 cycles (section 5.4)."""

@@ -4,10 +4,11 @@ Every layer keeps its timing model as an executable spec (the
 per-access reference loops) and at most one fast implementation that
 must reproduce it bit for bit: the vectorized probe tier
 (:mod:`repro.vector`), the cohort scheduler
-(:mod:`repro.machine.cohort`), ``SplitC.put_scatter``'s streamed
-runs, the batched EM3D compute and ghost fills, the batched bulk
-transfers and BLT copies.  :func:`fast` says whether those fast paths
-run; :func:`reference` turns them all off at once.
+(:mod:`repro.machine.cohort`), ``SplitC.put_scatter``'s and
+``SplitC.get_scatter``'s streamed runs, the batched EM3D compute and
+ghost fills, the batched bulk transfers and BLT copies.  :func:`fast`
+says whether those fast paths run; :func:`reference` turns them all
+off at once.
 
 The state is the ``REPRO_FAST`` environment variable (default on;
 ``0``/``false``/``no``/``off`` selects the reference), so child

@@ -115,3 +115,84 @@ def test_sweep_driver_structure():
     # More communication costs more, for both versions.
     assert points[2].us_per_edge > points[0].us_per_edge
     assert points[3].us_per_edge > points[1].us_per_edge
+
+
+def _per_edge_setup(machine, graph, version, seed=7):
+    """The per-edge construction of the EM3D memory image (the oracle
+    for ``kernels._setup``): one Python iteration and one encoded
+    global pointer or ghost-slot lookup per edge."""
+    from repro.apps.em3d.kernels import VALUE_BYTES
+    from repro.splitc.gptr import GlobalPtr
+
+    n = graph.nodes_per_pe
+    plans = {"e": graph.e_plan, "h": graph.h_plan}
+    max_ghosts = max(1, *(len(plan.ghost_slot[pe]) for plan in plans.values()
+                          for pe in range(graph.num_pes)))
+    gather_pair_words = max(
+        (len(idxs) for plan in plans.values() for by_src in plan.needed
+         for idxs in by_src.values()), default=1) or 1
+    adj_bytes = n * graph.degree * 2 * 8
+    vals = {"e": machine.symmetric_segment(n, "f8", VALUE_BYTES),
+            "h": machine.symmetric_segment(n, "f8", VALUE_BYTES)}
+    ghosts = {"e": machine.symmetric_alloc(max_ghosts * VALUE_BYTES),
+              "h": machine.symmetric_alloc(max_ghosts * VALUE_BYTES)}
+    adj = {"e": machine.symmetric_alloc(adj_bytes),
+           "h": machine.symmetric_alloc(adj_bytes)}
+    machine.symmetric_segment(graph.num_pes * gather_pair_words, "f8", 8)
+    stride = 8 if version == "bulk" else VALUE_BYTES
+    e0 = initial_values(graph, "e", seed)
+    h0 = initial_values(graph, "h", seed)
+    for pe in range(graph.num_pes):
+        mem = machine.node(pe).memsys.memory
+        mem.alloc_segment(ghosts["e"], max_ghosts, "f8", stride)
+        mem.alloc_segment(ghosts["h"], max_ghosts, "f8", stride)
+        mem.segment_at(vals["e"]).fill(0, e0[pe])
+        mem.segment_at(vals["h"]).fill(0, h0[pe])
+        for direction, other in (("e", "h"), ("h", "e")):
+            refs, weights = [], []
+            for edges in graph.adjacency(direction, pe):
+                for owner, idx, weight in edges:
+                    addr = vals[other] + idx * VALUE_BYTES
+                    if version == "simple":
+                        ref = GlobalPtr(owner, addr).encode()
+                    elif owner == pe:
+                        ref = addr
+                    else:
+                        ref = ghosts[direction] + plans[direction].ghost_slot[
+                            pe][(owner, idx)] * stride
+                    refs.append(ref)
+                    weights.append(weight)
+            mem.alloc_segment(adj[direction], len(refs), "i8", 16).fill(
+                0, refs)
+            mem.alloc_segment(adj[direction] + 8, len(refs), "f8", 16).fill(
+                0, weights)
+
+
+def _image(machine):
+    return [[(addr, type(value), value)
+             for addr, value in sorted(node.memsys.memory.items())]
+            for node in machine.nodes]
+
+
+@pytest.mark.parametrize("node", ["t3d", "workstation"])
+@pytest.mark.parametrize("frac", [0.0, 0.3, 1.0])
+def test_setup_image_equals_per_edge_construction(node, frac):
+    """Every segment word of the array-built set-up, for all seven
+    versions, equals the per-edge construction's."""
+    from dataclasses import replace
+
+    from repro.apps.em3d.kernels import _setup
+    from repro.params import workstation_node_params
+
+    params = t3d_machine_params((2, 2, 1))
+    if node == "workstation":
+        params = replace(params, node=workstation_node_params())
+    g = make_graph(num_pes=4, nodes_per_pe=9, degree=3,
+                   remote_fraction=frac, seed=4)
+    for version in VERSIONS:
+        got, want = Machine(params), Machine(params)
+        _setup(got, g, version)
+        _per_edge_setup(want, g, version)
+        assert _image(got) == _image(want), version
+        assert [n.heap.high_water for n in got.nodes] == \
+            [n.heap.high_water for n in want.nodes]

@@ -44,6 +44,41 @@ def test_arrival_log_cumulative(node):
     assert node.time_when_bytes_arrived(0) == 0.0
 
 
+def test_region_totals_match_a_full_scan(node):
+    """Running per-region totals equal a scan of the log, with arrivals
+    logged out of order and into two overlapping regions, before and
+    after each region is first asked for, and across a reset."""
+    import random
+
+    rng = random.Random(3)
+    regions = [(0x100, 0x300), (0x200, 0x400)]
+
+    def scan(region):
+        lo, hi = region
+        return sum(nbytes for _t, nbytes, addr in node._arrivals
+                   if lo <= addr < hi)
+
+    for step in range(2):
+        for k in range(60):
+            node.record_store_arrival(rng.choice([8, 16]),
+                                      rng.uniform(0.0, 500.0),
+                                      rng.randrange(0, 0x500, 8))
+            if k == 20 + step:
+                assert node.bytes_arrived_total(regions[0]) == \
+                    scan(regions[0])
+            if k % 7 == 0:
+                for region in regions[:1 + (k > 30)]:
+                    assert node.bytes_arrived_total(region) == scan(region)
+        for region in regions:
+            total = node.bytes_arrived_total(region)
+            assert total == scan(region) > 0
+            assert node.time_when_bytes_arrived(total, region) == max(
+                t for t, _n, addr in node._arrivals
+                if region[0] <= addr < region[1])
+        node.reset()
+        assert all(node.bytes_arrived_total(r) == 0 for r in regions)
+
+
 def test_arrival_log_insufficient_bytes_raises(node):
     node.record_store_arrival(8, 10.0)
     with pytest.raises(RuntimeError):

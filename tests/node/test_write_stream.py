@@ -146,6 +146,55 @@ def test_prefetch_source_matches_pop_loop():
     assert _memsys_state(ms, end) == _memsys_state(ref, clock)
 
 
+@pytest.mark.parametrize("pre", [None, [23.0, 0.0, 23.0, 23.0, 0.0, 23.0,
+                                         23.0, 0.0, 0.0]])
+def test_grouped_prefetch_source_matches_drain_refill_loop(pre):
+    """Group D: store k waits for read k's reply; after every D-th store
+    the next D reads issue, each after its pre-issue charge."""
+    latency = np.array([84.0, 99.0, 84.0, 108.0, 84.0, 84.0, 99.0, 84.0,
+                        93.0])
+    depth, pop, loop, fetch = 3, 25.0, 0.0, 6.0
+    charge = [0.0] * len(latency) if pre is None else pre
+    addrs = [0x1000 + 32 * k for k in range(len(latency))]
+    ref, clock = _warm_memsys([(0.0, 0x1000), (5.0, 0x5000)], 1.0)
+    start = clock
+    ready = []
+
+    def issue(j):
+        nonlocal clock
+        clock += charge[j]
+        ready.append(clock + latency[j])
+        clock += fetch
+
+    for j in range(depth):
+        issue(j)
+    first = clock
+    for k, addr in enumerate(addrs):
+        clock = max(clock, ready[k]) + pop
+        clock += ref.write_cycles(clock, addr, float(k))
+        clock += loop
+        if (k + 1) % depth == 0:
+            for j in range(k + 1, min(len(addrs), k + 1 + depth)):
+                issue(j)
+
+    ms, _ = _warm_memsys([(0.0, 0x1000), (5.0, 0x5000)], 1.0)
+    source = PrefetchSource(ready[:depth], latency, pop, loop, fetch, depth,
+                            None if pre is None else np.array(pre))
+    assert start < first
+    end = ms.stream_writes(first, addrs, [float(k) for k in range(9)],
+                           source)
+    assert _memsys_state(ms, end) == _memsys_state(ref, clock)
+
+
+def test_prefetch_source_declines_a_group_beyond_the_window():
+    ms = t3d_memory_system()
+    source = PrefetchSource([90.0], np.array([84.0, 84.0]), 23.0, 0.0, 4.0,
+                            group=2)
+    assert ms.stream_writes(0.0, [0x1000, 0x1020], [1.0, 2.0],
+                            source) is None
+    assert ms.write_buffer._pending == []
+
+
 # ----------------------------------------------------------------------
 # The remote form, against RemoteAccessUnit.store
 # ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import tiers
@@ -357,6 +358,117 @@ def test_put_scatter_runs_identical_in_full_state(monkeypatch, node,
     _assert_identical(_two_way(scenario))
     expect = node == "t3d" and factory is SingleAnnexPolicy and not short
     assert streamed == ([True] * 2 * params.num_nodes if expect else [])
+
+
+# ----------------------------------------------------------------------
+# get_scatter's streamed drains against the get_from loop, in full state
+# ----------------------------------------------------------------------
+
+def _get_program(ngets):
+    """``ngets`` gets from the three other processors, in runs of one
+    target, from words that alternate between two rows of one DRAM bank
+    (remote off-page and same-bank penalties) into ghost words one line
+    apart.  A pending local store to a ghost line is in the write buffer
+    when the scatter starts.  The state right after the scatter — with
+    the last group still in the prefetch queue — and after ``sync``
+    (the small-group barrier when the last group is short) is
+    returned."""
+    def program(sc):
+        me, n = sc.my_pe, sc.num_pes
+        src = sc.all_alloc_segment(2 * _SAME_BANK // 8, "f8")
+        ghosts = sc.all_alloc(ngets * 32 + 32)
+        for w in range(64):
+            for row in (0, _SAME_BANK):
+                sc.ctx.local_write(src + row + w * 8, float(me * 1000 + w))
+        sc.ctx.memory_barrier()
+        yield from sc.barrier()
+        sc.ctx.local_write(ghosts + 8, -1.0 - me)
+        k = np.arange(ngets)
+        pes = (me + 1 + (k // 5) % (n - 1)) % n
+        addrs = src + (k * 7) % 64 * 8 + k % 2 * _SAME_BANK
+        sc.get_scatter(pes, addrs, ghosts + k * 32)
+        pf = sc.ctx.node.prefetch
+        wb = sc.ctx.node.memsys.write_buffer
+        after = (sc.ctx.clock, [(e.ready_time, e.value) for e in pf._fifo],
+                 pf._issued_since_pop, pf.issues, pf.pops,
+                 list(sc._get_targets), [
+                     (e.line_addr, e.enqueue_time, e.retire_time,
+                      sorted(e.words.items())) for e in wb._pending])
+        sc.sync()
+        yield from sc.barrier()
+        return after, sc.ctx.clock, vars(sc.annex_policy)
+
+    return program
+
+
+@pytest.mark.parametrize("node, policy, spans", [
+    ("t3d", "single", False), ("t3d", "single-skip", False),
+    ("t3d", "multi", False), ("t3d", "os-managed", False),
+    ("t3d", "single", True), ("workstation", "single", False)],
+    ids=["t3d-single", "t3d-single-skip", "t3d-multi", "t3d-os-managed",
+         "t3d-spans", "workstation"])
+@pytest.mark.parametrize("ngets", [1, 15, 16, 17, 33, 16 * 6 + 2])
+def test_get_scatter_identical_in_full_state(monkeypatch, node, policy,
+                                             spans, ngets):
+    from repro.splitc import runtime
+    from repro.splitc.runtime import SplitC, run_splitc
+
+    streamed = []
+    real = SplitC._stream_gets
+
+    def spy(*args):
+        done = real(*args)
+        if tiers.fast():
+            streamed.append(done)
+        return done
+
+    monkeypatch.setattr(SplitC, "_stream_gets", spy)
+    monkeypatch.setattr(runtime, "_MIN_STREAMED_GETS", 0)
+    factory, skip = _POLICIES[policy]
+    plan = dataclasses.replace(default_plan(), annex_policy_factory=factory,
+                               annex_skip_when_unchanged=skip)
+    params = t3d_machine_params((2, 2, 1))
+    if node == "workstation":
+        params = dataclasses.replace(params, node=workstation_node_params())
+
+    def scenario():
+        machine = Machine(params)
+        results, runtimes = run_splitc(machine, _get_program(ngets),
+                                       plan=plan, trace=spans)
+        annex = [(n.annex.updates,
+                  [n.annex.entry(i) for i in range(n.annex.params.entries)])
+                 for n in machine.nodes]
+        counters = [(n.memsys.counters(), n.prefetch.counters(),
+                     list(n.memsys.dram._open_row), n.memsys.dram._last_bank)
+                    for n in machine.nodes]
+        spans_out = [sc.trace.spans if spans else None for sc in runtimes]
+        return (results, _runtime_fingerprint(runtimes), annex, counters,
+                spans_out, _machine_fingerprint(machine))
+
+    _assert_identical(_two_way(scenario))
+    expect = (node == "t3d" and factory is SingleAnnexPolicy and not spans
+              and ngets > 16)
+    count = (ngets - 1) // 16 * 16
+    assert streamed == ([count] * params.num_nodes if expect
+                        else [0] * params.num_nodes)
+
+
+def test_get_scatter_minimum_size(monkeypatch):
+    """Below the measured minimum the loop runs; at it, the stream."""
+    from repro.splitc.runtime import _MIN_STREAMED_GETS, SplitC, run_splitc
+
+    streamed = []
+    real = SplitC._stream_gets
+
+    def spy(*args):
+        streamed.append(real(*args))
+        return streamed[-1]
+
+    monkeypatch.setattr(SplitC, "_stream_gets", spy)
+    for ngets in (_MIN_STREAMED_GETS - 1, _MIN_STREAMED_GETS):
+        streamed.clear()
+        run_splitc(_machine(), _get_program(ngets))
+        assert all(streamed) == (ngets >= _MIN_STREAMED_GETS)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,11 @@ open rows, last bank and counters, the pending write-buffer entries
 node (the read targets) the DRAM open rows, last bank and counters,
 the remote unit's read count, and the Annex entries and update count.
 The ``msg`` version is the one whose stores are still pending when the
-next half-step reads them.
+next half-step reads them.  The get version's ghost fill is one
+``SplitC.get_scatter``: its drained groups run as one planned prefetch
+stream, and its state — including the prefetch queue's entries, issue
+and pop counters and Split-C's get-target table — is also compared
+right after the scatter, while the last group is still in the queue.
 
 Nodes outside the plan's envelope — the workstation (L2, a TLB that can
 miss) and a 2-way set-associative L1 — must make the plan decline on
@@ -34,6 +38,8 @@ from repro.apps.em3d import kernels
 from repro.apps.em3d.graph import make_graph
 from repro.machine.machine import Machine
 from repro.node.memsys import MemorySystem
+from repro.splitc import runtime
+from repro.splitc.runtime import SplitC
 from repro.params import (
     CacheParams,
     t3d_machine_params,
@@ -53,6 +59,7 @@ def _node_state(ctx, sc):
     l1 = ms.l1
     tags = (sorted(l1._tags.items()) if l1._assoc == 1
             else sorted((k, list(v)) for k, v in l1._ways.items()))
+    pf = ctx.node.prefetch
     return (
         ctx.pe, ctx.clock,
         sorted((op, rec.count, rec.cycles) for op, rec in sc.stats.ops.items()),
@@ -62,6 +69,8 @@ def _node_state(ctx, sc):
          for e in wb._pending],
         wb._last_retire,
         sorted(ms.memory.items()),
+        [(e.ready_time, e.value) for e in pf._fifo], pf._issued_since_pop,
+        pf.issues, pf.pops, list(sc._get_targets),
     )
 
 
@@ -83,14 +92,17 @@ def _peer_state(machine):
 
 def _run(machine_params, version, frac, seed, monkeypatch, fast):
     """Run one EM3D configuration; return the state after every compute
-    phase and ghost fill, the final result, the plan's accept/decline
-    counts, and the number of ghost fills and of plans they accepted."""
+    phase, ghost fill and get scatter, the final result, the plan's
+    accept/decline counts, and the number of ghost fills, of plans they
+    accepted and of streamed get scatters."""
     snapshots = []
     plans = {"accepted": 0, "declined": 0}
-    fills = {"fills": 0, "accepted": 0}
+    fills = {"fills": 0, "accepted": 0, "streamed_gets": 0}
     real_rows = kernels.compute_rows
     real_fill = kernels._ghost_fill_reads
     real_plan = MemorySystem.plan_block
+    real_scatter = SplitC.get_scatter
+    real_stream_gets = SplitC._stream_gets
     machine = Machine(machine_params)
     in_fill = []
 
@@ -106,6 +118,15 @@ def _run(machine_params, version, frac, seed, monkeypatch, fast):
         in_fill.pop()
         fills["fills"] += 1
         snapshots.append((_node_state(sc.ctx, sc), _peer_state(machine)))
+
+    def spy_scatter(sc, *args):
+        real_scatter(sc, *args)
+        snapshots.append((_node_state(sc.ctx, sc), _peer_state(machine)))
+
+    def spy_stream_gets(sc, *args):
+        done = real_stream_gets(sc, *args)
+        fills["streamed_gets"] += bool(done)
+        return done
 
     def spy_plan(self, *args, **kwargs):
         plan = real_plan(self, *args, **kwargs)
@@ -126,6 +147,10 @@ def _run(machine_params, version, frac, seed, monkeypatch, fast):
     monkeypatch.setattr(kernels, "_ghost_fill_reads", spy_fill)
     monkeypatch.setattr(kernels, "run_splitc", spy_run_splitc)
     monkeypatch.setattr(MemorySystem, "plan_block", spy_plan)
+    monkeypatch.setattr(SplitC, "get_scatter", spy_scatter)
+    monkeypatch.setattr(SplitC, "_stream_gets", spy_stream_gets)
+    # The graphs are small: stream every scatter with a drained group.
+    monkeypatch.setattr(runtime, "_MIN_STREAMED_GETS", 0)
     try:
         graph = make_graph(num_pes=4, nodes_per_pe=NODES, degree=DEGREE,
                            remote_fraction=frac, seed=seed)
@@ -158,6 +183,8 @@ def test_planned_phase_matches_reference_state(version, frac, seed,
     reads = frac > 0 and version in ("bundle", "unroll")
     assert (fast[3]["fills"] > 0) == (version in ("bundle", "unroll", "get"))
     assert (fast[3]["accepted"] > 0) == reads
+    assert (fast[3]["streamed_gets"] > 0) == (frac > 0 and version == "get")
+    assert ref[3]["streamed_gets"] == 0
 
 
 def _two_way_l1():
@@ -171,12 +198,14 @@ def _two_way_l1():
                     node=workstation_node_params()),
     _two_way_l1,
 ], ids=["workstation-l2", "two-way-l1"])
-@pytest.mark.parametrize("version", ["simple", "unroll", "msg", "bundle"])
+@pytest.mark.parametrize("version", ["simple", "unroll", "msg", "bundle",
+                                     "get"])
 def test_plan_declines_outside_envelope(make_params, version, monkeypatch):
     fast = _run(make_params(), version, 0.2, 1995, monkeypatch, fast=True)
     ref = _run(make_params(), version, 0.2, 1995, monkeypatch, fast=False)
     assert fast[2]["accepted"] == 0 and fast[2]["declined"] > 0
     assert fast[0] == ref[0]
     assert fast[1] == ref[1]
-    assert (fast[3]["fills"] > 0) == (version in ("unroll", "bundle"))
+    assert (fast[3]["fills"] > 0) == (version in ("unroll", "bundle", "get"))
     assert fast[3]["accepted"] == 0
+    assert fast[3]["streamed_gets"] == 0
