@@ -1,7 +1,7 @@
 PYTHON ?= python3
 
-.PHONY: test bench-cold bench-cold-compare docs-check experiments \
-	examples quickcheck clean
+.PHONY: test bench-cold bench-cold-compare bench-pairs docs-check \
+	experiments examples quickcheck clean
 
 test:
 	$(PYTHON) -m pytest tests/
@@ -18,6 +18,21 @@ bench-cold-compare:
 		echo "usage: make bench-cold-compare BASE='<parent bench/out/*.json>'"; \
 		exit 2; }
 	PYTHONPATH=src $(PYTHON) -m bench compare $(BASE) -- bench/out/*.json
+
+# Alternating pairs of cold runs of one workload in fresh copies of
+# another commit and of this checkout, then bench compare
+# (tools/bench_pairs.py), e.g.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=bulk-transfer PAIRS=10 \
+#        CLAIM=bulk-transfer:wall_rel
+SEED ?= 1995
+PAIRS ?= 10
+bench-pairs:
+	@test -n "$(BASE)" -a -n "$(WORKLOAD)" || { \
+		echo "usage: make bench-pairs BASE=<rev> WORKLOAD=<name>" \
+		     "[SEED=1995] [PAIRS=10] [CLAIM=<workload>:<metric>]"; \
+		exit 2; }
+	$(PYTHON) tools/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--seed $(SEED) --pairs $(PAIRS) $(if $(CLAIM),--claim $(CLAIM))
 
 docs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_docs.py -q

@@ -164,6 +164,22 @@ def _build_plan(adj: list[EdgeArrays], nodes_per_pe: int) -> CommPlan:
                     edge_slot=edge_slot, bases=bases)
 
 
+def randbelow(rng: random.Random, n: int):
+    """A function that draws ``rng.randrange(n)`` (``n > 0``) call for
+    call: the ``getrandbits`` rejection loop ``random.Random`` runs,
+    with the bit count bound once, so it consumes the same stream."""
+    getrandbits = rng.getrandbits
+    k = n.bit_length()
+
+    def below() -> int:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def make_graph(num_pes: int, nodes_per_pe: int, degree: int,
                remote_fraction: float, seed: int = 1995) -> Em3dGraph:
     """Generate the synthetic kernel graph of section 8.
@@ -180,7 +196,8 @@ def make_graph(num_pes: int, nodes_per_pe: int, degree: int,
         raise ValueError("remote edges need at least two processors")
     rng = random.Random(seed)
     draw = rng.random
-    randrange = rng.randrange
+    other_pe = randbelow(rng, num_pes - 1) if num_pes > 1 else None
+    node = randbelow(rng, nodes_per_pe)
     nedges = nodes_per_pe * degree
 
     def one_direction():
@@ -189,11 +206,11 @@ def make_graph(num_pes: int, nodes_per_pe: int, degree: int,
             owners, idxs, draws = [], [], []
             for _ in range(nedges):
                 if num_pes > 1 and draw() < remote_fraction:
-                    owner = randrange(num_pes - 1)
+                    owner = other_pe()
                     owners.append(owner + (owner >= pe))
                 else:
                     owners.append(pe)
-                idxs.append(randrange(nodes_per_pe))
+                idxs.append(node())
                 draws.append(draw())
             # rng.uniform(0.1, 1.0) is 0.1 + (1.0 - 0.1) * random().
             adj.append(EdgeArrays(

@@ -24,7 +24,7 @@ from repro.node.dram import Dram
 from repro.node.exact import array_on_grid, on_grid
 from repro.node.memory import WordMemory, WordRun
 from repro.node.tlb import Tlb
-from repro.node.write_buffer import WriteBuffer
+from repro.node.write_buffer import BlockingSource, WriteBuffer
 from repro.params import (
     LOCAL_ADDR_MASK,
     WORD_BYTES,
@@ -37,6 +37,13 @@ from repro.vector import kernels as _vk
 
 __all__ = ["BlockPlan", "MemorySystem", "ReadPlan", "t3d_memory_system",
            "workstation_memory_system"]
+
+#: Shortest store stream :meth:`MemorySystem.stream_writes` solves in
+#: closed form (:meth:`WriteBuffer.stream_closed`).  Measured on Figure
+#: 8's uncached, cached and prefetch reads from a fresh 2-PE T3D: the
+#: closed form's ~200 us of numpy set-up per chunk against the loop's
+#: ~1.6 us per store tie at 192 stores; the closed form wins from 256.
+_MIN_CLOSED_STORES = 192
 
 
 class BlockPlan(NamedTuple):
@@ -82,6 +89,7 @@ class MemorySystem:
             apply=lambda addr, value: _store(addr & LOCAL_ADDR_MASK, value),
             line_bytes=params.l1.line_bytes,
             apply_entries=self._commit_entries,
+            apply_run=self._commit_run,
         )
         # The common T3D node shape (direct-mapped L1, no L2, TLB that
         # never misses) gets a flattened read path in :meth:`read`.
@@ -258,9 +266,10 @@ class MemorySystem:
         Exactly equivalent to :meth:`read` per load and :meth:`write`
         per store: the plan commits the L1 tags, DRAM open rows, last
         bank and unit counters that sequence leaves, and issues the
-        stores through :meth:`WriteBuffer.push_run`.  It returns each
-        load's cycles and the clock after the last store; the caller
-        takes load values from :meth:`gather` beforehand.
+        stores, each a new entry, through :meth:`WriteBuffer.settle` at
+        the clocks a :class:`BlockingSource` of the row gaps gives.  It
+        returns each load's cycles and the clock after the last store;
+        the caller takes load values from :meth:`gather` beforehand.
 
         Returns None, leaving every unit untouched, outside the envelope
         where that is exact: no tracing, a direct-mapped L1, no
@@ -334,9 +343,14 @@ class MemorySystem:
         gaps = csum[ends] - csum[ends - counts] + sum(row_charges)
         if row_extra is not None:
             gaps += row_extra
-        end = wb.push_run(now, stores, values, gaps, cost[store_pos])
-        if end is None:
+        head = (BlockingSource(gaps).head(now, nrows, wb.params.issue_cycles)
+                if nrows else None)
+        if head is None or not wb.settle(
+                head[0], cost[store_pos], stores & -WORD_BYTES,
+                values.tolist() if isinstance(values, _np.ndarray)
+                else list(values)):
             return None
+        end = head[2]
         l1_commit()
         dram_commit()
         return BlockPlan(load_cycles, end)
@@ -438,24 +452,54 @@ class MemorySystem:
     def stream_writes(self, now: float, addrs, values: list, source,
                       isolate=()) -> float | None:
         """:meth:`write_cycles` of ``values[k]`` to ``addrs[k]`` (a
-        sequence), each at the clock ``source`` gives, through
-        :meth:`WriteBuffer.stream`; returns the final clock, or None
-        (every unit untouched) where that declines or the node is
-        outside the direct-mapped, L2-less, never-missing-TLB shape."""
+        sequence), each at the clock ``source`` gives; returns the final
+        clock, or None (every unit untouched) where that declines or the
+        node is outside the direct-mapped, L2-less, never-missing-TLB
+        shape.  A stream of at least :data:`_MIN_CLOSED_STORES` stores
+        runs in closed form (:meth:`WriteBuffer.stream_closed`) as far
+        as that goes; :meth:`WriteBuffer.stream`'s loop issues the rest.
+        """
         if not self._fast_read:
             return None
         dram = self.dram
         dp = dram.params
-        line_bytes = self.write_buffer.line_bytes
+        wb = self.write_buffer
+        line_bytes = wb.line_bytes
         mask = LOCAL_ADDR_MASK
+        if len(addrs) >= _MIN_CLOSED_STORES:
+            closed = wb.stream_closed(now, addrs, values, self._plan_drains,
+                                      source)
+            if closed is not None:
+                done, now, source = closed
+                if done == len(addrs):
+                    return now
+                addrs, values = addrs[done:], values[done:]
 
         def drain(k):
             return dram.access((addrs[k] - addrs[k] % line_bytes) & mask)
 
         kinds = (dp.access_cycles, dp.access_cycles + dp.off_page_cycles,
                  dp.access_cycles + dp.off_page_cycles + dp.same_bank_cycles)
-        return self.write_buffer.stream(now, addrs, values, drain, kinds,
-                                        source, isolate=isolate)
+        return wb.stream(now, addrs, values, drain, kinds, source,
+                         isolate=isolate)
+
+    def _plan_drains(self, lines):
+        """The DRAM accesses of write-buffer entries for ``lines`` (an
+        int64 array), in order: :meth:`Dram.plan_access`."""
+        dp = self.dram.params
+        return self.dram.plan_access(lines & LOCAL_ADDR_MASK,
+                                     dp.off_page_cycles, dp.same_bank_cycles)
+
+    def _commit_run(self, addr: int, values: list) -> None:
+        """Commit retired stores to consecutive words from ``addr`` as
+        the per-word ``apply`` would: one range write where no address
+        carries Annex bits."""
+        if 0 <= addr and addr + len(values) * WORD_BYTES <= LOCAL_ADDR_MASK:
+            self.memory.store_range(addr, values)
+            return
+        store = self.memory.store
+        for i, value in enumerate(values):
+            store((addr + i * WORD_BYTES) & LOCAL_ADDR_MASK, value)
 
     def _commit_entries(self, word_dicts: list) -> None:
         """Commit retired write-buffer entries, oldest first, as the

@@ -43,6 +43,28 @@ __all__ = ["BlockingSource", "PendingWrite", "PrefetchSource", "WriteBuffer"]
 
 #: Stores per chunk of :meth:`WriteBuffer.stream`.
 _CHUNK = 512
+#: Stores classified and committed at a time by
+#: :meth:`WriteBuffer.stream_closed`: its numpy temporaries stay a few
+#: hundred KB however long the stream.
+_CLOSED_CHUNK = 2048
+#: Passes of the class fixpoint (:meth:`WriteBuffer._classify`) and of
+#: the prefetch clock solve (:meth:`PrefetchSource.head`) before they
+#: decline.  Figures 8 and 9 need 1-2 class passes and 2 clock passes;
+#: of the random draws in ``tests/node/test_closed_stream.py``, 99% of
+#: chunks settle their classes within 8 (the rest take up to 60 and
+#: more), as do 95% of clock solves (those whose replies bind advance
+#: about one queue depth per pass).
+_CLOSED_PASSES = 8
+
+
+def _retire_times(issued, q, last: float):
+    """Retire times of entries made at clocks ``issued`` with drain
+    slots ``q`` behind the last retire time ``last``: ``r_i =
+    max(c_i, r_{i-1}) + q_i``, unrolled to ``Q_i + max(last, max_{j <=
+    i} (c_j - Q_{j-1}))`` with ``Q`` the cumulative sum of ``q``."""
+    done = _np.cumsum(q)
+    return done + _np.maximum.accumulate(_np.maximum(issued - (done - q),
+                                                     last))
 
 
 class BlockingSource(NamedTuple):
@@ -57,6 +79,25 @@ class BlockingSource(NamedTuple):
     #: The read is a local load, which flushes retired entries when it
     #: issues (:meth:`MemorySystem.read` forwarding check).
     flush: bool = False
+
+    def head(self, now: float, m: int, issue: float):
+        """The clocks of the first ``m`` stores from ``now`` when none
+        stalls (a merge then costs ``issue``, as a new entry does):
+        ``(t, flushes, end, rest)``, with ``t[k] = now + gaps[0] + ... +
+        gaps[k] + k * (issue + lead)``, the clocks of the reads' flushes
+        (``t - gaps``, or None), the clock after store ``m - 1``, and
+        the source of the stores after it.  None off the exactness
+        envelope (:mod:`repro.node.exact`) or for a negative charge."""
+        gaps = self.gaps[:m]
+        step = issue + self.lead
+        if not (on_grid(now) and on_grid(issue) and on_grid(self.lead)
+                and issue >= 0 and self.lead >= 0 and array_on_grid(gaps)
+                and gaps.min() >= 0
+                and abs(now) + float(gaps.sum()) + m * step < CEILING):
+            return None
+        t = now + _np.cumsum(gaps) + step * _np.arange(m)
+        return (t, t - gaps if self.flush else None, float(t[-1]) + step,
+                self._replace(gaps=self.gaps[m:]))
 
 
 class PrefetchSource(NamedTuple):
@@ -86,6 +127,57 @@ class PrefetchSource(NamedTuple):
     #: float64 numpy array, one charge per read (``group`` > 1 only);
     #: None charges nothing.
     pre_issue: object = None
+
+    def head(self, now: float, m: int, issue: float):
+        """:meth:`BlockingSource.head` for a queue kept full (group 1):
+        with ``a_k = issue + loop + pop`` plus ``fetch`` where read
+        ``k + D`` issues, store ``k`` issues at ``t_k = max(t_{k-1} +
+        a_{k-1}, R_k + pop)`` (``t_0 = max(now, R_0) + pop``), where
+        read ``k``'s reply ``R_k`` is ``ready[k]`` for ``k < D`` and
+        ``t_{k-D} + issue + loop + latency[k]`` after.  Given ``R``, one
+        running maximum solves the lag-1 chain; passes repeat from ``R
+        = -inf`` until ``R`` repeats, the unique solution since ``R_k``
+        depends on earlier clocks only.  None for other groups, off the
+        exactness envelope, or with no fixpoint in
+        :data:`_CLOSED_PASSES` passes."""
+        lat = self.latency
+        n = len(lat)
+        depth = len(self.ready)
+        if self.group != 1 or self.pre_issue is not None or not depth:
+            return None
+        span = min(m + depth, n)
+        pop, loop, fetch = self.pop_cycles, self.loop_cycles, self.issue_cycles
+        after = issue + loop
+        charges = (now, issue, pop, loop, fetch)
+        window = lat[depth:span]
+        first = _np.array(self.ready[:m])
+        if (not all(on_grid(x) for x in charges)
+                or min(charges[1:]) < 0 or not array_on_grid(first)
+                or not array_on_grid(window)
+                or (len(window) and window.min() < 0)
+                or max(abs(now), abs(first).max()) + float(window.sum())
+                + (m + 1) * sum(charges[1:]) >= CEILING):
+            return None
+        a = _np.full(m, after + pop + fetch)
+        a[max(0, n - depth):] = after + pop
+        before = _np.cumsum(a) - a
+        reply = _np.full(m, -_np.inf)
+        reply[:len(first)] = first
+        start = max(now, first[0]) + pop
+        for _ in range(_CLOSED_PASSES):
+            b = reply + pop - before
+            b[0] = start
+            t = before + _np.maximum.accumulate(b)
+            later = t[:max(0, m - depth)] + after + lat[depth:m]
+            if (later == reply[depth:]).all():
+                break
+            reply[depth:] = later
+        else:
+            return None
+        ready = [*self.ready[m:], *(t[max(0, m - depth):span - depth] + after
+                                    + lat[max(m, depth):span]).tolist()]
+        end = float(t[-1]) + after + (fetch if m - 1 + depth < n else 0.0)
+        return t, None, end, self._replace(ready=ready, latency=lat[m:])
 
 
 class PendingWrite:
@@ -130,7 +222,7 @@ class WriteBuffer:
     """
 
     def __init__(self, params: WriteBufferParams, apply=None,
-                 line_bytes: int = 32, apply_entries=None):
+                 line_bytes: int = 32, apply_entries=None, apply_run=None):
         self.params = params
         self.line_bytes = line_bytes
         self._issue_cycles = params.issue_cycles
@@ -141,6 +233,10 @@ class WriteBuffer:
         #: words dicts of retired entries, oldest first; must leave
         #: memory as ``apply`` word by word in that order would.
         self._apply_entries = apply_entries
+        #: Optional range committer for :meth:`settle`: called as
+        #: ``apply_run(addr, values)`` for retired stores to consecutive
+        #: words from ``addr``; must leave memory as ``apply`` would.
+        self._apply_run = apply_run
         self._pending: list[PendingWrite] = []
         self._last_retire: float = 0.0
         self.merged_writes = 0
@@ -159,7 +255,7 @@ class WriteBuffer:
         """Counter-registry hook: this unit's lifetime totals.
 
         Only counters every code path maintains are reported:
-        :meth:`stream` and :meth:`push_run` add entries without
+        :meth:`stream` and :meth:`settle` add entries without
         :meth:`push`, so a per-push counter here would undercount them.
         """
         return {"merged_writes": self.merged_writes,
@@ -306,73 +402,236 @@ class WriteBuffer:
                         stall=stall, retire=retire)
         return cycles + stall
 
-    def push_run(self, now: float, addrs, values, gaps, drains):
-        """``clock += gaps[i]; clock += push_new(clock, addrs[i],
-        values[i], drains[i])`` for each store of a run, from ``clock =
-        now``, in one closed form (numpy ``addrs``, ``gaps``, ``drains``;
-        ``values`` a sequence); returns the final clock, or None with
-        nothing changed.
+    def settle(self, t, drains, words, values, make=None, into=None) -> bool:
+        """Issue store ``k`` of a run at clock ``t[k]``, none stalling,
+        in one closed form; False, with nothing changed, where a store
+        would stall or off the exactness envelope.
 
-        With no stall, store ``i`` issues at ``c = now + cumsum(gaps) +
-        issue * i`` and retires at ``Q + max(last_retire, max(c - (Q -
-        q)))`` (a running maximum), where ``q = drains / depth`` and ``Q
-        = cumsum(q)``.  Declines while tracing, if a pending entry is
-        not a plain local store or pending retire times are out of
-        order, if a store would find ``depth`` entries in flight after
-        its flush (it would stall), and off the exactness envelope
-        (:mod:`repro.node.exact`).
+        ``t`` comes from a source's ``head`` (non-decreasing, on the
+        grid), ``words`` is an int64 array of word addresses and
+        ``values`` a list.  ``make[k]`` says whether store ``k`` makes
+        an entry (None: every store does), the entries draining
+        ``drains`` (one each, in order); ``into[k]`` is the entry store
+        ``k``'s word lands in: a pending entry's index, or the pending
+        count plus the rank of an entry the run makes (None: its own).
+
+        Entries retire as :func:`_retire_times` gives, with ``q =
+        drains / depth``.  Retire times never decrease, so
+        one ``searchsorted`` counts the entries each entry-making store
+        finds in flight after its flush.  The last flush is the last
+        store's, ahead of any entry it makes: the entries retired by
+        then commit, pending ones first, the run's stores as one range
+        write where they are consecutive words; the rest stay pending.
+        Declines while tracing, if a pending entry is not a plain local
+        store or pending retire times are out of order, and off the
+        grid (:mod:`repro.node.exact`).
         """
         pending = self._pending
-        cap = self._capacity
-        issue = self._issue_cycles
         last = self._last_retire
         warm = [e.retire_time for e in pending]
-        n = len(addrs)
-        q = drains / cap
-        if (_trace.TRACE_ENABLED or not n or warm != sorted(warm)
+        nwarm = len(warm)
+        q = drains / self._capacity
+        te = t if make is None else t[make]
+        if (_trace.TRACE_ENABLED or warm != sorted(warm)
                 or (warm and last < warm[-1])
                 or any(e.on_retire is not None or not e.apply_words
                        for e in pending)
-                or not all(on_grid(x) for x in (now, last, issue, *warm))
-                or not (array_on_grid(gaps) and array_on_grid(q))
-                or gaps.min() < 0 or q.min() < 0
-                or not max(now, last) + float(gaps.sum()) + n * issue
-                + float(q.sum()) < CEILING):
-            return None
-        clock = now + _np.cumsum(gaps) + issue * _np.arange(n)
-        done = _np.cumsum(q)
-        retire = done + _np.maximum.accumulate(
-            _np.maximum(clock - (done - q), last))
-        # Retire times are in order, so the entries retired when store i
-        # issues are a prefix of the warm ones and the run's first i.
+                or not all(on_grid(x) for x in (last, *warm))
+                or not array_on_grid(q) or (len(q) and q.min() < 0)
+                or max(float(t[-1]), last) + float(q.sum()) >= CEILING):
+            return False
+        retire = _retire_times(te, q, last)
         order = _np.concatenate((warm, retire))
-        ahead = len(warm) + _np.arange(n)
+        ahead = nwarm + _np.arange(len(te))
         in_flight = ahead - _np.minimum(
-            _np.searchsorted(order, clock, side="right"), ahead)
-        if (in_flight >= cap).any():
-            return None
-        end = float(clock[-1])
-        # The last flush is the last store's, ahead of its own entry.
-        gone = min(int(_np.searchsorted(order, end, side="right")),
-                   len(order) - 1)
-        self._commit([e.words for e in pending[:gone]])
-        del pending[:gone]
-        done_run = max(0, gone - len(warm))
-        addrs = addrs.tolist()
-        words = [a - a % WORD_BYTES for a in addrs]
-        values = (values.tolist() if isinstance(values, _np.ndarray)
-                  else list(values))
-        if done_run:
-            self._commit([dict(zip(words[:done_run], values))])
-        pending.extend(PendingWrite(
-            addrs[i] - addrs[i] % self.line_bytes, float(clock[i]),
-            float(retire[i]), {words[i]: values[i]})
-            for i in range(done_run, n))
-        self._last_retire = float(retire[-1])
+            _np.searchsorted(order, te, side="right"), ahead)
+        if (in_flight >= self._capacity).any():
+            return False
+        n = len(t)
+        made = len(te) - (make is None or bool(make[-1]))
+        gone = min(int(_np.searchsorted(order, t[-1], side="right")),
+                   nwarm + made)
+        if make is not None:
+            for k in _np.flatnonzero(into < nwarm).tolist():
+                pending[into[k]].words[int(words[k])] = values[k]
+        if nwarm:
+            self._commit([e.words for e in pending[:gone]])
+            del pending[:gone]
+        keep = max(gone, nwarm)
+        # The run's stores in retired entries: a prefix when each store
+        # makes its own entry.
+        if into is None:
+            sel, first, stop = None, 0, keep - nwarm
+        else:
+            sel = _np.flatnonzero((into >= nwarm) & (into < keep))
+            first, stop = ((int(sel[0]), int(sel[-1]) + 1) if len(sel)
+                           else (0, 0))
+        if stop > first:
+            if ((sel is None or stop - first == len(sel))
+                    and words[stop - 1] - words[first]
+                    == WORD_BYTES * (stop - first - 1)
+                    and (_np.diff(words[first:stop]) == WORD_BYTES).all()):
+                self._commit_run(int(words[first]), values[first:stop])
+            elif sel is None:
+                self._commit([dict(zip(words[first:stop].tolist(),
+                                       values[first:stop]))])
+            else:
+                self._commit([dict(zip(words[sel].tolist(),
+                                       map(values.__getitem__,
+                                           sel.tolist())))])
+        lb = self.line_bytes
+        lo = keep - nwarm
+        if make is None:
+            pending.extend(
+                PendingWrite(w - w % lb, c, r, {w: v}) for w, c, r, v in zip(
+                    words[lo:].tolist(), t[lo:].tolist(),
+                    retire[lo:].tolist(), values[lo:]))
+        else:
+            fresh = [PendingWrite(w - w % lb, c, r, {}) for w, c, r in zip(
+                words[make][lo:].tolist(), t[make][lo:].tolist(),
+                retire[lo:].tolist())]
+            for k in _np.flatnonzero(into >= keep).tolist():
+                fresh[into[k] - keep].words[int(words[k])] = values[k]
+            pending.extend(fresh)
         self.drained_entries += gone
-        if not in_flight.all():
-            self.mark_dirty()
-        return end + issue
+        self.merged_writes += n - len(te)
+        if len(te):
+            self._last_retire = float(retire[-1])
+            if not in_flight.all():
+                self.mark_dirty()
+        return True
+
+    def stream_closed(self, now: float, addrs, values, plan_drains,
+                      source):
+        """:meth:`stream` of local stores, solved in numpy passes a
+        chunk of :data:`_CLOSED_CHUNK` stores at a time.  Returns
+        ``(done, clock, rest)``: the stores issued, the clock after
+        them, and the source of the remaining ones, which
+        :meth:`stream` issues from that clock; or None, with nothing
+        changed.  ``plan_drains(lines)`` times the drains of new entries
+        for ``lines`` (an int64 array), in order, as ``(costs,
+        commit)`` (:meth:`Dram.plan_access`) or None.
+
+        Per chunk: the source's ``head`` gives the store clocks, which
+        do not depend on the classes while nothing stalls;
+        :meth:`_classify` classifies every store; :meth:`settle` times
+        and commits the entries; then the drain plan commits.  A chunk's
+        first store sees the state the previous chunk left, so chunking
+        is exact.  Declines while tracing, without merging, or with two
+        pending entries for one line; a chunk that declines after the
+        first ends the run there.
+        """
+        pending = self._pending
+        if (_trace.TRACE_ENABLED or not self._merging
+                or len({e.line_addr for e in pending}) != len(pending)):
+            return None
+        n = len(addrs)
+        lb = self.line_bytes
+        clock = now
+        for c0 in range(0, n, _CLOSED_CHUNK):
+            c1 = min(n, c0 + _CLOSED_CHUNK)
+            head = source.head(clock, c1 - c0, self._issue_cycles)
+            if head is None:
+                break
+            t, flushes, end, rest = head
+            part = addrs[c0:c1]
+            words = (_np.arange(part.start, part.stop, part.step)
+                     if isinstance(part, range)
+                     else _np.array(part, dtype=_np.int64))
+            words -= words % WORD_BYTES
+            classes = self._classify(t, flushes, words - words % lb,
+                                     plan_drains)
+            if classes is None:
+                break
+            make, into, drains, commit = classes
+            if not self.settle(t, drains, words, values[c0:c1], make, into):
+                break
+            commit()
+            clock, source = end, rest
+        else:
+            return n, clock, source
+        return (c0, clock, source) if c0 else None
+
+    def _classify(self, t, flushes, lines, plan_drains):
+        """The classes of a chunk's stores (:meth:`stream_closed`):
+        ``(make, into, drains, commit)`` for :meth:`settle` and the
+        drain plan, or None.
+
+        With ``p`` the youngest earlier entry for store ``k``'s line (a
+        pending one, or one an earlier store made), store ``k`` is a
+        merge if ``r(p) > t_k``; a zero-drain entry if ``r(p) >
+        thr_k``, the last flush before its pre-scan (its read's flush,
+        else store ``k - 1``'s; nothing flushes an entry store ``k - 1``
+        made before a read that does not flush); otherwise an entry
+        that drains through the DRAM, in stream order.  A class depends
+        on earlier retire times only, so the system is causal and has
+        one fixpoint, which any start reaches: passes run until the
+        classes repeat, or decline after :data:`_CLOSED_PASSES`.
+        """
+        m = len(t)
+        last = self._last_retire
+        cap = self._capacity
+        pos = _np.arange(m)
+        order = _np.argsort(lines, kind="stable")
+        sorted_lines = lines[order]
+        first = _np.empty(m, dtype=bool)
+        first[0] = True
+        first[1:] = sorted_lines[1:] != sorted_lines[:-1]
+        group = _np.maximum.accumulate(_np.where(first, pos, 0))
+        warm_index = _np.full(m, -1)
+        warm_retire = _np.full(m, -_np.inf)
+        for i, e in enumerate(self._pending):
+            hit = sorted_lines == e.line_addr
+            warm_index[hit] = i
+            warm_retire[hit] = e.retire_time
+        ts = t[order]
+        if flushes is None:
+            thr = _np.empty(m)
+            thr[0] = -_np.inf
+            thr[1:] = t[:-1]
+            thr = thr[order]
+            after = order - 1
+        else:
+            thr = flushes[order]
+        # Any start reaches the one fixpoint; this one (a DRAM entry per
+        # line the chunk opens, zero-drain entries after it) is the
+        # answer for stores slower than their entries' drains.
+        make = _np.ones(m, dtype=bool)
+        dram = _np.empty(m, dtype=bool)
+        dram[order] = first & (warm_index < 0)
+        prev = _np.empty(m, dtype=_np.int64)
+        prev[0] = -1
+        for _ in range(_CLOSED_PASSES):
+            planned = plan_drains(lines[dram])
+            if planned is None:
+                return None
+            costs, commit = planned
+            drains = _np.zeros(m)
+            drains[dram] = costs
+            drains = drains[make]
+            retire = _np.empty(m)
+            retire[make] = _retire_times(t[make], drains / cap, last)
+            prev[1:] = _np.maximum.accumulate(
+                _np.where(make[order], pos, -1))[:-1]
+            chained = prev >= group
+            p = order[prev]
+            seen = _np.where(chained, retire[p], warm_retire)
+            new_make = _np.empty(m, dtype=bool)
+            new_make[order] = seen <= ts
+            new_dram = _np.empty(m, dtype=bool)
+            new_dram[order] = seen <= (
+                thr if flushes is not None
+                else _np.where(chained & (p == after), -_np.inf, thr))
+            if (new_make == make).all() and (new_dram == dram).all():
+                break
+            make, dram = new_make, new_dram
+        else:
+            return None
+        rank = _np.cumsum(make) - 1 + len(self._pending)
+        into = _np.empty(m, dtype=_np.int64)
+        into[order] = _np.where(chained, rank[p], warm_index)
+        into[make] = rank[make]
+        return make, into, drains, commit
 
     def find_word(self, now: float, addr: int):
         """Forwarding check: return ``(True, value)`` for the youngest
@@ -604,6 +863,15 @@ class WriteBuffer:
             # queue, so it ends in the same order.
             self.mark_dirty()
         return clock
+
+    def _commit_run(self, addr: int, values: list) -> None:
+        """Commit retired stores to the consecutive words from ``addr``."""
+        if self._apply_run is not None:
+            self._apply_run(addr, values)
+            return
+        apply = self._apply
+        for i, value in enumerate(values):
+            apply(addr + i * WORD_BYTES, value)
 
     def _commit(self, word_dicts: list) -> None:
         """Commit retired entries' words, oldest entry first."""

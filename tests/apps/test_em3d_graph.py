@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.apps.em3d.graph import initial_values, make_graph
+from repro.apps.em3d.graph import initial_values, make_graph, randbelow
 
 
 def _adj(g, direction):
@@ -61,6 +61,18 @@ def test_rng_stream_pinned(shape, digest):
     tuple-list generator produced it: the array representation draws
     the same random numbers in the same order."""
     assert _stream_digest(make_graph(*shape, seed=1995)) == digest
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 255, 256, 300, 1 << 40])
+def test_randbelow_draws_randrange(n):
+    """The helper and ``randrange`` give the same numbers and leave the
+    generator in the same state, interleaved with other draws."""
+    ours, theirs = random.Random(n), random.Random(n)
+    below = randbelow(ours, n)
+    for _ in range(2000):
+        assert below() == theirs.randrange(n)
+        assert ours.random() == theirs.random()
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_remote_fraction_zero_is_all_local():

@@ -8,14 +8,14 @@ block of rows runs two ways on identical copies:
 * **scalar** — ``read`` per load, the row charges, ``write_cycles`` per
   store: the sequence the plan claims to batch;
 * **planned** — ``gather`` the load values, then ``plan_block``, which
-  issues the stores itself (``WriteBuffer.push_run``).
+  issues the stores itself (``WriteBuffer.settle``).
 
 Either the two end in byte-identical units with identical cycles and
 values, or the plan declined and left every unit untouched.
 
-``WriteBuffer.push_run`` is also held on its own to the ``push_new``
-loop it replaces, from random warm buffers and with gaps short enough
-to stall.
+``WriteBuffer.settle``, the closed-form stage the plan shares with the
+store stream, is also held on its own to the ``push_new`` loop, from
+random warm buffers and with gaps short enough to stall.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.node.memsys import MemorySystem
+from repro.node.write_buffer import BlockingSource
 from repro.params import (
     ANNEX_BIT_SHIFT,
     CacheParams,
@@ -223,7 +224,7 @@ def test_plan_rejects_mismatched_load_counts():
 
 
 # ----------------------------------------------------------------------
-# WriteBuffer.push_run against the push_new loop
+# WriteBuffer.settle against the push_new loop
 # ----------------------------------------------------------------------
 
 #: On-grid cycle values: DRAM drains (one store's entry drains in a
@@ -268,7 +269,7 @@ def _wb_state(ms):
        idle=st.sampled_from([0.0, 3.0, 50.0, 0.1]),
        settle_peer=st.booleans())
 @settings(max_examples=400, deadline=None)
-def test_push_run_equals_push_new_loop_or_declines_untouched(
+def test_settle_equals_push_new_loop_or_declines_untouched(
         depth, warm, run, idle, settle_peer):
     scalar_ms, now = _buffer(depth, warm, settle_peer)
     run_ms, _ = _buffer(depth, warm, settle_peer)
@@ -279,7 +280,10 @@ def test_push_run_equals_push_new_loop_or_declines_untouched(
     gaps = np.array([g for g, _d, _s in run])
     drains = np.array([d for _g, d, _s in run])
     before = _wb_state(run_ms)
-    got = run_ms.write_buffer.push_run(now, addrs, values, gaps, drains)
+    head = BlockingSource(gaps).head(now, len(run),
+                                     run_ms.write_buffer.params.issue_cycles)
+    got = head is not None and run_ms.write_buffer.settle(
+        head[0], drains, addrs & -WORD_BYTES, values)
     clock = now
     stalled = False
     wb = scalar_ms.write_buffer
@@ -289,12 +293,12 @@ def test_push_run_equals_push_new_loop_or_declines_untouched(
         cycles = wb.push_new(clock, addr, value, drain)
         stalled |= cycles > wb.params.issue_cycles
         clock += cycles
-    if got is None:
+    if not got:
         assert _wb_state(run_ms) == before
         assert stalled or depth == 3 or idle == 0.1
         return
     assert not stalled
-    assert type(got) is float and got == clock
+    assert type(head[2]) is float and head[2] == clock
     assert _wb_state(run_ms) == _wb_state(scalar_ms)
     assert all(type(e.retire_time) is float and type(e.enqueue_time) is float
                for e in run_ms.write_buffer._pending)

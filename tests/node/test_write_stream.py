@@ -12,7 +12,8 @@ ways on identical copies:
 
 Gaps lie on the 2**-8 grid except where a draw deliberately leaves it.
 Either both end with byte-identical units and the same clock, or the
-stream declined and left every unit untouched.
+stream declined and left every unit untouched.  The local form tries
+the closed form (``WriteBuffer.stream_closed``) at every length here.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine.machine import Machine
+from repro.node import memsys
 from repro.node.memsys import t3d_memory_system, workstation_memory_system
 from repro.node.write_buffer import BlockingSource, PrefetchSource
 from repro.params import WORD_BYTES, t3d_machine_params
@@ -30,6 +32,13 @@ from repro.trace import tracer as trace
 #: Lines that share DRAM banks and rows in different ways, so repeated
 #: lines merge, retire, and re-open entries.
 LINES = (0x1000, 0x1020, 0x5000, 0x11000, 0x11020)
+
+@pytest.fixture(autouse=True, scope="module")
+def _closed_form_at_every_length():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(memsys, "_MIN_CLOSED_STORES", 0)
+        yield
+
 
 grid_gaps = st.sampled_from([0.0, 0.25, 1.0, 3.0, 6.5, 23.0, 140.0])
 any_gaps = st.one_of(grid_gaps, st.sampled_from([0.1, 1 / 3, 2.0 ** 45]))

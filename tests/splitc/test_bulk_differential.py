@@ -8,7 +8,9 @@ that leave stale line snapshots, remote stores that make them stale,
 charges that let entries retire unflushed, and an occasional sync.
 Transfers start off line boundaries and many cross a 16 KB DRAM page.
 The sequence runs once batched and once under ``tiers.reference()``;
-the full machine fingerprint must match after every step.
+the full machine fingerprint must match after every step.  Sizes reach
+past the closed-form stream's minimum length and across one of its
+chunk boundaries (``WriteBuffer.stream_closed``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import random
 import pytest
 
 from repro import tiers
+from repro.node.write_buffer import WriteBuffer
 from repro.shell.annex import ReadMode
 from repro.splitc import bulk
 from repro.splitc.gptr import GlobalPtr
@@ -29,9 +32,10 @@ SEEDS = range(40)
 
 def _transfer(rng):
     """A word-aligned (line-unaligned) range, often crossing a page."""
-    nwords = rng.choice([1, 2, 3, 5, 7, 17, 40, 130, 300])
+    nwords = rng.choice([1, 2, 3, 5, 7, 17, 40, 130, 256, 300, 2100])
     if rng.random() < 0.6:
-        start = rng.randrange(1, 4) * PAGE - 8 * rng.randrange(1, nwords + 2)
+        start = rng.randrange(1, 4) * PAGE - 8 * rng.randrange(
+            1, min(nwords + 2, PAGE // 8))
     else:
         start = 8 * rng.randrange(0, 6000)
     return start, 8 * nwords
@@ -84,7 +88,7 @@ def _run_step(sc, step):
         sc.sync()
 
 
-def _trajectory(seed):
+def _trajectory(seed, steps=None, run_step=_run_step):
     machine, sc = _fresh_sc()
     for pe in range(machine.num_nodes):
         memory = machine.node(pe).memsys.memory
@@ -92,8 +96,8 @@ def _trajectory(seed):
         for _ in range(300):
             memory.store(8 * rng.randrange(0, 8000), rng.random())
     out = []
-    for step in _script(seed):
-        _run_step(sc, step)
+    for step in _script(seed) if steps is None else steps:
+        run_step(sc, step)
         out.append(_machine_fingerprint(machine, sc))
     return out
 
@@ -104,3 +108,41 @@ def test_batched_bulk_matches_word_loops(seed):
     with tiers.reference():
         ref = _trajectory(seed)
     assert fast == ref
+
+
+def test_each_read_mechanism_runs_closed_form(monkeypatch):
+    """Uncached, cached and prefetch reads of 2,100 words (across a
+    chunk boundary), over warm buffers, each store every word through
+    the closed-form stream, and still match the word loops."""
+    closed = []
+    stream_closed = WriteBuffer.stream_closed
+
+    def spy(self, now, addrs, values, plan_drains, source):
+        got = stream_closed(self, now, addrs, values, plan_drains, source)
+        if got is not None and got[0] == len(addrs):
+            closed.append(len(addrs))
+        return got
+
+    monkeypatch.setattr(WriteBuffer, "stream_closed", spy)
+    ran = set()
+
+    def run_step(sc, step):
+        closed.clear()
+        _run_step(sc, step)
+        if closed:
+            ran.add(step[0])
+
+    big = 8 * 2100
+    steps = [(kind, src, dst, nbytes, 3.0) for kind, src, dst, nbytes in [
+        ("warm_store", 0x8000, 0, 64),
+        ("uncached", PAGE - 40, 0x8000 - 16, big),
+        ("warm_store", 0x30000, 0, 64),
+        ("cached", 2 * PAGE - 8, 0x30000, big),
+        ("charge", 0, 0, 8),
+        ("prefetch", 24, 0x52008, big),
+        ("get", 0x9000, 0x60010, 8 * 300)]]
+    fast = _trajectory(5, steps, run_step)
+    with tiers.reference():
+        ref = _trajectory(5, steps, run_step)
+    assert fast == ref
+    assert {"uncached", "cached", "prefetch", "get"} <= ran
