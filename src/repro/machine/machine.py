@@ -150,3 +150,13 @@ class Machine:
             node.reset()
         self.barrier.reset()
         self._dirty_buffers.clear()
+
+    def release(self) -> None:
+        """:meth:`reset`, and forget every stored word.  Nodes and units
+        refer to each other, so a machine no longer used is cyclic
+        garbage, whose memory lives until a full collection reaches it;
+        a caller done with a machine releases it to free that memory at
+        once."""
+        self.reset()
+        for node in self.nodes:
+            node.memsys.memory.clear()

@@ -8,6 +8,10 @@ receiver can ask "by when had N bytes arrived?".
 from __future__ import annotations
 
 import bisect
+import heapq
+from operator import itemgetter
+
+import numpy as _np
 
 from repro.node.alpha import AlphaCosts
 from repro.node.memsys import MemorySystem
@@ -17,7 +21,7 @@ from repro.shell.atomics import AtomicUnit
 from repro.shell.blt import BlockTransferEngine
 from repro.shell.msgqueue import MessageUnit
 from repro.shell.prefetch import PrefetchQueue
-from repro.shell.remote import RemoteAccessUnit, make_inbound_on_retire
+from repro.shell.remote import RemoteAccessUnit, make_inbound
 
 __all__ = ["HeapAllocator", "Node"]
 
@@ -112,11 +116,11 @@ class Node:
     def peer_exports(self) -> tuple:
         """Target-side bindings every remote :class:`PeerLink` needs:
         the DRAM controller, its access and peek methods and penalties,
-        the memory's ``load``, and the one retirement callback for
-        stores into this node.  Built once per *target* and shared by
-        every source's link (at 1024 PEs a node is the store target of
-        dozens of sources); every member is stable for the machine's
-        life."""
+        the memory's ``load``, and the retirement callbacks for stores
+        into this node (one entry at a time, and a run of entries).
+        Built once per *target* and shared by every source's link (at
+        1024 PEs a node is the store target of dozens of sources); every
+        member is stable for the machine's life."""
         ex = self._peer_exports
         if ex is None:
             ms = self.memsys
@@ -125,7 +129,7 @@ class Node:
                 dram, dram.access_with, dram.peek_access_with,
                 ms.params.dram.same_bank_cycles,
                 ms.params.dram.access_cycles, ms.memory.load,
-                make_inbound_on_retire(self, self.remote.params),
+                *make_inbound(self, self.remote.params),
             )
         return ex
 
@@ -157,6 +161,38 @@ class Node:
                 self._region_totals[region] += nbytes
         if self.wake_sink is not None:
             self.wake_sink.append(("y", self.pe))
+
+    def record_store_arrivals(self, nbytes, times, addrs) -> None:
+        """:meth:`record_store_arrival` of ``(nbytes[i], times[i],
+        addrs[i])`` for each ``i`` in turn (int, float and int numpy
+        arrays), batched.
+
+        Each arrival lands after every logged one no later than it, so
+        the batch, sorted stably by time, merges into the log's tail
+        with existing entries first on ties: an ``extend`` when it
+        starts no earlier than the log ends and is in order.
+        """
+        times_l = times.tolist()
+        if not times_l:
+            return
+        entries = list(zip(times_l, nbytes.tolist(), addrs.tolist()))
+        arrivals = self._arrivals
+        if not (_np.diff(times) >= 0).all():
+            entries.sort(key=itemgetter(0))
+        first = entries[0][0]
+        if not arrivals or first >= arrivals[-1][0]:
+            arrivals.extend(entries)
+        else:
+            cut = bisect.bisect_right(arrivals, (first, float("inf"), 0))
+            tail = arrivals[cut:]
+            del arrivals[cut:]
+            arrivals.extend(heapq.merge(tail, entries, key=itemgetter(0)))
+        self._arrived_total += int(nbytes.sum())
+        for region in self._region_totals:
+            inside = (addrs >= region[0]) & (addrs < region[1])
+            self._region_totals[region] += int(nbytes[inside].sum())
+        if self.wake_sink is not None:
+            self.wake_sink.extend([("y", self.pe)] * len(entries))
 
     def _in_region(self, addr: int, region) -> bool:
         if region is None:

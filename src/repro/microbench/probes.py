@@ -289,6 +289,7 @@ def bulk_read_bandwidth_probe(sizes=None, mechanisms=None) -> list[BandwidthPoin
                 mech(sc, 0x400000, GlobalPtr(1, 0), nbytes)
             points.append(BandwidthPoint(
                 name, nbytes, mb_per_s(nbytes, sc.ctx.clock - before)))
+            machine.release()
     return points
 
 
@@ -313,6 +314,7 @@ def bulk_write_bandwidth_probe(sizes=None, mechanisms=None,
                 mech(sc, GlobalPtr(1, 0x400000), 0, nbytes)
             points.append(BandwidthPoint(
                 name, nbytes, mb_per_s(nbytes, sc.ctx.clock - before)))
+            machine.release()
     return points
 
 

@@ -55,12 +55,7 @@ class Dram:
                 "same_bank_conflicts": self.same_bank_conflicts}
 
     def reset(self) -> None:
-        """Forget all open rows and history (e.g. between probe runs).
-
-        ``_open_row`` is cleared in place: the inbound retirement
-        callback (:func:`repro.shell.remote.make_inbound_on_retire`)
-        binds the list itself and must see live row state across resets.
-        """
+        """Forget all open rows and history (e.g. between probe runs)."""
         self._open_row[:] = [-1] * self.params.banks
         self._last_bank = -1
         self.accesses = 0
@@ -164,6 +159,40 @@ class Dram:
             self.same_bank_conflicts += conflicts
 
         return costs, commit
+
+    def peek_after(self, addrs, counts, queries, off_page_cycles: float,
+                   same_bank_cycles: float):
+        """:meth:`peek_access_with` of each of ``queries`` as it would
+        read once :meth:`access_with` had run over ``addrs[:counts[k]]``
+        from the current state, for every ``k``; nothing changes.
+        ``addrs`` and ``queries`` are int64 numpy arrays, ``counts`` an
+        int array of values in ``0 .. len(addrs)``.
+
+        That state's open row in a bank is the row of the last of those
+        accesses to the bank (the current one if none), and its last
+        bank is access ``counts[k] - 1``'s: one ``searchsorted`` over
+        the accesses ordered by bank, then position, finds the former
+        for every query at once.
+        """
+        geometry = dict(interleave=self._interleave, banks=self._banks,
+                        page_bytes=self._page_bytes)
+        qbank, qrow = _vk.dram_bank_row(queries, **geometry)
+        open_row = _np.array(self._open_row, dtype=_np.int64)[qbank]
+        last = self._last_bank
+        if len(addrs):
+            bank, row = _vk.dram_bank_row(addrs, **geometry)
+            span = len(addrs) + 1
+            order = _np.argsort(bank, kind="stable")
+            at = _np.searchsorted(bank[order] * span + order,
+                                  qbank * span + counts) - 1
+            seen = order[_np.maximum(at, 0)]
+            open_row = _np.where((at >= 0) & (bank[seen] == qbank),
+                                 row[seen], open_row)
+            last = _np.where(counts > 0, bank[_np.maximum(counts - 1, 0)],
+                             last)
+        miss = open_row != qrow
+        return (self._access_cycles + miss * off_page_cycles
+                + (miss & (qbank == last)) * same_bank_cycles)
 
     def peek_access_cycles(self, addr: int) -> float:
         """Latency the next access to ``addr`` would cost, without

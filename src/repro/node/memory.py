@@ -298,6 +298,10 @@ class WordMemory:
     # Scalar access
     # ------------------------------------------------------------------
 
+    def clear(self) -> None:
+        """Forget every word and segment: a fresh, empty memory."""
+        self.__init__()
+
     def word_addr(self, addr: int) -> int:
         return addr - (addr % WORD_BYTES)
 

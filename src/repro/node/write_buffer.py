@@ -39,7 +39,8 @@ from repro.node.exact import CEILING, array_on_grid, on_grid
 from repro.params import WORD_BYTES, WriteBufferParams
 from repro.trace import tracer as _trace
 
-__all__ = ["BlockingSource", "PendingWrite", "PrefetchSource", "WriteBuffer"]
+__all__ = ["BlockingSource", "PendingWrite", "PrefetchSource", "RemoteTarget",
+           "WriteBuffer"]
 
 #: Stores per chunk of :meth:`WriteBuffer.stream`.
 _CHUNK = 512
@@ -65,6 +66,59 @@ def _retire_times(issued, q, last: float):
     done = _np.cumsum(q)
     return done + _np.maximum.accumulate(_np.maximum(issued - (done - q),
                                                      last))
+
+
+def _flush_before(t, flushes):
+    """The clock of the last flush before each store's pre-scan, in
+    stream order: its read's flush (``flushes``), else the previous
+    store's (``-inf`` for the first)."""
+    if flushes is not None:
+        return flushes
+    thr = _np.empty(len(t))
+    thr[0] = -_np.inf
+    thr[1:] = t[:-1]
+    return thr
+
+
+def _chains(t, order, first, ends, warm_retire):
+    """Which stores make entries when each line's entries chain: the
+    first of a line's stores (``order`` groups them by line, ``first``
+    marks each group's first) at or after its pending entry's retire
+    time (``warm_retire``, -inf for none), then from each entry-making
+    store ``k`` the first later store of the line at or after
+    ``ends[k]`` (``> t_k``).  ``t`` is non-decreasing, so one
+    ``searchsorted`` in ``t`` and one in the stores keyed by (line,
+    position) find every link; pointer doubling then marks each chain
+    in a logarithmic number of steps."""
+    m = len(t)
+    span = m + 1
+    line = _np.cumsum(first) - 1
+    keys = line * span + order
+    starts = _np.flatnonzero(first)
+
+    def link(groups, at):
+        """The first store of each group at or after stream position
+        ``at``, as a sorted position (``m`` for none)."""
+        j = _np.searchsorted(keys, groups * span + at)
+        inside = j < m
+        inside[inside] = keys[j[inside]] // span == groups[inside]
+        return _np.where(inside, j, m)
+
+    step = _np.empty(span, dtype=_np.int64)
+    step[:m] = link(line, _np.searchsorted(t, ends)[order])
+    step[m] = m
+    on = _np.zeros(span, dtype=bool)
+    on[m] = True
+    on[link(line[starts], _np.searchsorted(t, warm_retire[starts]))] = True
+    while True:
+        reached = step[on]
+        if on[reached].all():
+            break
+        on[reached] = True
+        step = step[step]
+    make = _np.empty(m, dtype=bool)
+    make[order] = on[:m]
+    return make
 
 
 class BlockingSource(NamedTuple):
@@ -178,6 +232,28 @@ class PrefetchSource(NamedTuple):
                                     + lat[max(m, depth):span]).tolist()]
         end = float(t[-1]) + after + (fetch if m - 1 + depth < n else 0.0)
         return t, None, end, self._replace(ready=ready, latency=lat[m:])
+
+
+class RemoteTarget(NamedTuple):
+    """The target of a run of remote stores that
+    :meth:`WriteBuffer.stream_closed` solves: what the entries carry, as
+    :meth:`RemoteAccessUnit.store` makes them, and the target's batch
+    operations."""
+
+    #: ``on_retire`` and ``meta`` of every entry.
+    on_retire: object
+    meta: object
+    #: ``peek(lines, counts, queries)``: the drain of a new entry for
+    #: each line of ``queries``, from the target's DRAM rows as the
+    #: accesses of the first ``counts[k]`` of the entries for ``lines``
+    #: (pending ones first, int64 arrays) leave them.
+    peek: object
+    #: ``retire_run(meta, times, lines, nbytes, blocks)``: ``on_retire``
+    #: of a run of entries, in order, from their retire times, lines
+    #: and byte counts (numpy arrays) and their words (``blocks``, in
+    #: entry order: word dicts and ``(addr, values)`` runs of
+    #: consecutive words).
+    retire_run: object
 
 
 class PendingWrite:
@@ -402,7 +478,8 @@ class WriteBuffer:
                         stall=stall, retire=retire)
         return cycles + stall
 
-    def settle(self, t, drains, words, values, make=None, into=None) -> bool:
+    def settle(self, t, drains, words, values, make=None, into=None,
+               remote=None) -> bool:
         """Issue store ``k`` of a run at clock ``t[k]``, none stalling,
         in one closed form; False, with nothing changed, where a store
         would stall or off the exactness envelope.
@@ -422,9 +499,12 @@ class WriteBuffer:
         store's, ahead of any entry it makes: the entries retired by
         then commit, pending ones first, the run's stores as one range
         write where they are consecutive words; the rest stay pending.
-        Declines while tracing, if a pending entry is not a plain local
-        store or pending retire times are out of order, and off the
-        grid (:mod:`repro.node.exact`).
+        With ``remote`` (a :class:`RemoteTarget`) the stores are remote:
+        the retired entries run the target's ``retire_run`` instead, and
+        the others carry its ``on_retire`` and ``meta``.  Declines while
+        tracing, if a pending entry is not a plain local store (with
+        ``remote``: not one of its entries) or pending retire times are
+        out of order, and off the grid (:mod:`repro.node.exact`).
         """
         pending = self._pending
         last = self._last_retire
@@ -432,10 +512,14 @@ class WriteBuffer:
         nwarm = len(warm)
         q = drains / self._capacity
         te = t if make is None else t[make]
+        if remote is None:
+            foreign = any(e.on_retire is not None or not e.apply_words
+                          for e in pending)
+        else:
+            foreign = any(e.apply_words or e.on_retire is not remote.on_retire
+                          or e.meta is not remote.meta for e in pending)
         if (_trace.TRACE_ENABLED or warm != sorted(warm)
-                or (warm and last < warm[-1])
-                or any(e.on_retire is not None or not e.apply_words
-                       for e in pending)
+                or (warm and last < warm[-1]) or foreign
                 or not all(on_grid(x) for x in (last, *warm))
                 or not array_on_grid(q) or (len(q) and q.min() < 0)
                 or max(float(t[-1]), last) + float(q.sum()) >= CEILING):
@@ -454,42 +538,80 @@ class WriteBuffer:
         if make is not None:
             for k in _np.flatnonzero(into < nwarm).tolist():
                 pending[into[k]].words[int(words[k])] = values[k]
-        if nwarm:
-            self._commit([e.words for e in pending[:gone]])
-            del pending[:gone]
+        retired = pending[:gone]
+        del pending[:gone]
         keep = max(gone, nwarm)
+        lb = self.line_bytes
+        lo = keep - nwarm
         # The run's stores in retired entries: a prefix when each store
         # makes its own entry.
         if into is None:
-            sel, first, stop = None, 0, keep - nwarm
+            sel, first, stop = None, 0, lo
         else:
             sel = _np.flatnonzero((into >= nwarm) & (into < keep))
             first, stop = ((int(sel[0]), int(sel[-1]) + 1) if len(sel)
                            else (0, 0))
+        block = None
         if stop > first:
             if ((sel is None or stop - first == len(sel))
                     and words[stop - 1] - words[first]
                     == WORD_BYTES * (stop - first - 1)
                     and (_np.diff(words[first:stop]) == WORD_BYTES).all()):
-                self._commit_run(int(words[first]), values[first:stop])
+                block = (int(words[first]), values[first:stop])
             elif sel is None:
-                self._commit([dict(zip(words[first:stop].tolist(),
-                                       values[first:stop]))])
+                block = dict(zip(words[first:stop].tolist(),
+                                 values[first:stop]))
             else:
-                self._commit([dict(zip(words[sel].tolist(),
-                                       map(values.__getitem__,
-                                           sel.tolist())))])
-        lb = self.line_bytes
-        lo = keep - nwarm
+                block = dict(zip(words[sel].tolist(),
+                                 map(values.__getitem__, sel.tolist())))
+        made = words if make is None else words[make]
+        if remote is None:
+            self._commit([e.words for e in retired])
+            if type(block) is tuple:
+                self._commit_run(*block)
+            elif block is not None:
+                self._commit([block])
+            extra = ()
+        else:
+            if retired or lo:
+                if sel is None:
+                    nwords = _np.ones(lo, dtype=_np.int64)
+                elif type(block) is tuple:
+                    # Consecutive words: each store's word is its own.
+                    nwords = _np.bincount(into[sel] - nwarm, minlength=lo)
+                else:
+                    # Distinct words per entry: a store's word within its
+                    # line, keyed by the entry it lands in.
+                    per_line = lb // WORD_BYTES
+                    key = ((into[sel] - nwarm) * per_line
+                           + words[sel] % lb // WORD_BYTES)
+                    nwords = _np.bincount(_np.unique(key) // per_line,
+                                          minlength=lo)
+                remote.retire_run(
+                    remote.meta,
+                    _np.concatenate((_np.array(
+                        [e.retire_time for e in retired], dtype=float),
+                        retire[:lo])),
+                    _np.concatenate((_np.array(
+                        [e.line_addr for e in retired], dtype=_np.int64),
+                        made[:lo] - made[:lo] % lb)),
+                    WORD_BYTES * _np.concatenate((_np.array(
+                        [len(e.words) for e in retired], dtype=_np.int64),
+                        nwords)),
+                    [e.words for e in retired]
+                    + ([] if block is None else [block]))
+            extra = (False, remote.on_retire, remote.meta)
         if make is None:
             pending.extend(
-                PendingWrite(w - w % lb, c, r, {w: v}) for w, c, r, v in zip(
+                PendingWrite(w - w % lb, c, r, {w: v}, *extra)
+                for w, c, r, v in zip(
                     words[lo:].tolist(), t[lo:].tolist(),
                     retire[lo:].tolist(), values[lo:]))
         else:
-            fresh = [PendingWrite(w - w % lb, c, r, {}) for w, c, r in zip(
-                words[make][lo:].tolist(), t[make][lo:].tolist(),
-                retire[lo:].tolist())]
+            fresh = [PendingWrite(w - w % lb, c, r, {}, *extra)
+                     for w, c, r in zip(made[lo:].tolist(),
+                                        t[make][lo:].tolist(),
+                                        retire[lo:].tolist())]
             for k in _np.flatnonzero(into >= keep).tolist():
                 fresh[into[k] - keep].words[int(words[k])] = values[k]
             pending.extend(fresh)
@@ -503,14 +625,15 @@ class WriteBuffer:
 
     def stream_closed(self, now: float, addrs, values, plan_drains,
                       source):
-        """:meth:`stream` of local stores, solved in numpy passes a
-        chunk of :data:`_CLOSED_CHUNK` stores at a time.  Returns
-        ``(done, clock, rest)``: the stores issued, the clock after
-        them, and the source of the remaining ones, which
-        :meth:`stream` issues from that clock; or None, with nothing
-        changed.  ``plan_drains(lines)`` times the drains of new entries
-        for ``lines`` (an int64 array), in order, as ``(costs,
-        commit)`` (:meth:`Dram.plan_access`) or None.
+        """:meth:`stream`, solved in numpy passes a chunk of
+        :data:`_CLOSED_CHUNK` stores at a time.  Returns ``(done, clock,
+        rest)``: the stores issued, the clock after them, and the source
+        of the remaining ones, which :meth:`stream` issues from that
+        clock; or None, with nothing changed.  For local stores,
+        ``plan_drains(lines)`` times the drains of new entries for
+        ``lines`` (an int64 array), in order, as ``(costs, commit)``
+        (:meth:`Dram.plan_access`) or None; for remote stores to one
+        target it is that target's :class:`RemoteTarget`.
 
         Per chunk: the source's ``head`` gives the store clocks, which
         do not depend on the classes while nothing stalls;
@@ -525,6 +648,7 @@ class WriteBuffer:
         if (_trace.TRACE_ENABLED or not self._merging
                 or len({e.line_addr for e in pending}) != len(pending)):
             return None
+        remote = plan_drains if isinstance(plan_drains, RemoteTarget) else None
         n = len(addrs)
         lb = self.line_bytes
         clock = now
@@ -544,9 +668,11 @@ class WriteBuffer:
             if classes is None:
                 break
             make, into, drains, commit = classes
-            if not self.settle(t, drains, words, values[c0:c1], make, into):
+            if not self.settle(t, drains, words, values[c0:c1], make, into,
+                               remote):
                 break
-            commit()
+            if remote is None:
+                commit()
             clock, source = end, rest
         else:
             return n, clock, source
@@ -555,7 +681,7 @@ class WriteBuffer:
     def _classify(self, t, flushes, lines, plan_drains):
         """The classes of a chunk's stores (:meth:`stream_closed`):
         ``(make, into, drains, commit)`` for :meth:`settle` and the
-        drain plan, or None.
+        drain plan (None for remote stores), or None.
 
         With ``p`` the youngest earlier entry for store ``k``'s line (a
         pending one, or one an earlier store made), store ``k`` is a
@@ -567,32 +693,18 @@ class WriteBuffer:
         on earlier retire times only, so the system is causal and has
         one fixpoint, which any start reaches: passes run until the
         classes repeat, or decline after :data:`_CLOSED_PASSES`.
+        Remote stores take :meth:`_classify_remote`.
         """
+        if isinstance(plan_drains, RemoteTarget):
+            return self._classify_remote(t, flushes, lines, plan_drains)
         m = len(t)
         last = self._last_retire
         cap = self._capacity
         pos = _np.arange(m)
-        order = _np.argsort(lines, kind="stable")
-        sorted_lines = lines[order]
-        first = _np.empty(m, dtype=bool)
-        first[0] = True
-        first[1:] = sorted_lines[1:] != sorted_lines[:-1]
-        group = _np.maximum.accumulate(_np.where(first, pos, 0))
-        warm_index = _np.full(m, -1)
-        warm_retire = _np.full(m, -_np.inf)
-        for i, e in enumerate(self._pending):
-            hit = sorted_lines == e.line_addr
-            warm_index[hit] = i
-            warm_retire[hit] = e.retire_time
+        order, first, group, warm_index, warm_retire = self._lines(lines)
         ts = t[order]
-        if flushes is None:
-            thr = _np.empty(m)
-            thr[0] = -_np.inf
-            thr[1:] = t[:-1]
-            thr = thr[order]
-            after = order - 1
-        else:
-            thr = flushes[order]
+        thr = _flush_before(t, flushes)[order]
+        after = order - 1
         # Any start reaches the one fixpoint; this one (a DRAM entry per
         # line the chunk opens, zero-drain entries after it) is the
         # answer for stores slower than their entries' drains.
@@ -627,11 +739,100 @@ class WriteBuffer:
             make, dram = new_make, new_dram
         else:
             return None
+        return make, self._into(make, order, chained, p, warm_index), \
+            drains, commit
+
+    def _classify_remote(self, t, flushes, lines, remote):
+        """:meth:`_classify` for remote stores to one target
+        (:class:`RemoteTarget`).  There is no zero-drain class: store
+        ``k`` merges if ``r(p) > t_k``, and otherwise makes an entry
+        whose drain peeks the target's DRAM rows as of ``thr_k``, that
+        is, as the accesses of the entries retired by then (one
+        ``searchsorted`` of ``thr_k`` in the retire times) leave them.
+        Drains are positive, so those entries are earlier ones and the
+        system is causal too.
+
+        Each pass takes the retire times and drains of the last one and
+        redoes every line exactly: a store that made an entry there
+        would retire at ``max(t_k, r) + q_k``, ``r`` the retire time of
+        the last entry made before it, so a line's entries are a chain
+        from its pending entry (or its first store) through the first
+        store at or after each entry's retire time (:func:`_chains`).
+        At a fixpoint every entry is one the last pass made, so the
+        rule is the loop's.  Passes start from an entry for each line
+        the chunk opens and run until entries and their drains repeat.
+        """
+        m = len(t)
+        last = self._last_retire
+        cap = self._capacity
+        order, first, group, warm_index, warm_retire = self._lines(lines)
+        thr = _flush_before(t, flushes)
+        pending = self._pending
+        warm_lines = _np.array([e.line_addr for e in pending],
+                               dtype=_np.int64)
+        warm_times = _np.array([e.retire_time for e in pending])
+        make = _np.empty(m, dtype=bool)
+        make[order] = first & (warm_retire <= t[order])
+        ahead = _np.cumsum(make) - make
+        drains = remote.peek(_np.concatenate((warm_lines, lines[make])),
+                             len(pending) + ahead, lines)
+        for _ in range(_CLOSED_PASSES):
+            retire = _np.full(m, -_np.inf)
+            retire[make] = _retire_times(t[make], drains[make] / cap, last)
+            before = _np.maximum.accumulate(
+                _np.concatenate(([last], retire[:-1])))
+            new_make = _chains(t, order, first,
+                               _np.maximum(t, before) + drains / cap,
+                               warm_retire)
+            counts = _np.searchsorted(
+                _np.concatenate((warm_times, retire[make])), thr,
+                side="right")
+            new_drains = remote.peek(
+                _np.concatenate((warm_lines, lines[make])), counts, lines)
+            if ((new_make == make).all()
+                    and (new_drains[make] == drains[make]).all()):
+                break
+            make, drains = new_make, new_drains
+        else:
+            return None
+        prev = _np.empty(m, dtype=_np.int64)
+        prev[0] = -1
+        prev[1:] = _np.maximum.accumulate(
+            _np.where(make[order], _np.arange(m), -1))[:-1]
+        chained = prev >= group
+        return make, self._into(make, order, chained, order[prev],
+                                warm_index), drains[make], None
+
+    def _lines(self, lines):
+        """A chunk's stores grouped by line: the stable order that sorts
+        ``lines``, whether each sorted store is its line's first, the
+        sorted position of its line's first store, and the index and
+        retire time of the pending entry for its line (-1 and -inf if
+        none), in sorted order."""
+        m = len(lines)
+        order = _np.argsort(lines, kind="stable")
+        sorted_lines = lines[order]
+        first = _np.empty(m, dtype=bool)
+        first[0] = True
+        first[1:] = sorted_lines[1:] != sorted_lines[:-1]
+        group = _np.maximum.accumulate(_np.where(first, _np.arange(m), 0))
+        warm_index = _np.full(m, -1)
+        warm_retire = _np.full(m, -_np.inf)
+        for i, e in enumerate(self._pending):
+            hit = sorted_lines == e.line_addr
+            warm_index[hit] = i
+            warm_retire[hit] = e.retire_time
+        return order, first, group, warm_index, warm_retire
+
+    def _into(self, make, order, chained, p, warm_index):
+        """The entry each store's word lands in (:meth:`settle`'s
+        ``into``), from the classes and each store's youngest earlier
+        entry for its line."""
         rank = _np.cumsum(make) - 1 + len(self._pending)
-        into = _np.empty(m, dtype=_np.int64)
+        into = _np.empty(len(make), dtype=_np.int64)
         into[order] = _np.where(chained, rank[p], warm_index)
         into[make] = rank[make]
-        return make, into, drains, commit
+        return into
 
     def find_word(self, now: float, addr: int):
         """Forwarding check: return ``(True, value)`` for the youngest

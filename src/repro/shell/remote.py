@@ -29,9 +29,11 @@ from array import array
 
 import numpy as _np
 
-from repro.node.exact import on_grid
+from repro.node import memsys as _memsys
+from repro.node.exact import CEILING, array_on_grid, on_grid
 from repro.node.memory import WordRun
 from repro.node.memsys import ReadPlan
+from repro.node.write_buffer import BlockingSource, RemoteTarget
 from repro.params import (
     LOCAL_ADDR_MASK,
     NetworkParams,
@@ -40,45 +42,29 @@ from repro.params import (
 )
 from repro.trace import tracer as _trace
 
-__all__ = ["AckRecord", "PeerLink", "RemoteAccessUnit",
-           "make_inbound_on_retire"]
+__all__ = ["AckRecord", "PeerLink", "RemoteAccessUnit", "make_inbound"]
 
 
-def make_inbound_on_retire(node, rparams: RemoteAccessParams):
-    """Build the write-retirement callback for stores *into* ``node``.
+def make_inbound(node, rparams: RemoteAccessParams):
+    """Build the write-retirement callbacks for stores *into* ``node``:
+    ``(on_retire, retire_run)``, for one entry and for a run of them.
 
-    One closure per target serves every sender: the per-pair parts of
-    a retiring packet — the flight time and the sending unit whose
+    One pair per target serves every sender: the per-pair parts of a
+    retiring packet — the flight time and the sending unit whose
     acknowledgement list the ack joins — travel on the entry itself as
     ``entry.meta = (flight, source_unit)``.  Hot target-side state is
-    bound here once; the flat-geometry DRAM access and the
-    direct-mapped invalidate are inlined (falling back to the generic
-    methods for other configurations).
-
-    Every binding is stable across :meth:`Machine.reset`: the open-row
-    list and the tag dict are cleared in place by their units' resets.
+    bound here once; every binding is stable across
+    :meth:`Machine.reset`.
     """
     ms = node.memsys
     dram = ms.dram
-    l1 = ms.l1
     access_with = dram.access_with
     same_bank = ms.params.dram.same_bank_cycles
-    access_cycles = ms.params.dram.access_cycles
-    mem_store = ms.memory.store
+    memory = ms.memory
+    mem_store = memory.store
+    l1 = ms.l1
     l1_invalidate = l1.invalidate
-    l1_tags = l1._tags if l1._assoc == 1 else None
-    l1_lb = l1._line_bytes
-    l1_sets = l1._num_sets
     record_arrival = node.record_store_arrival
-    interleave = dram._interleave
-    banks = dram._banks
-    geom_flat = (interleave == dram._page_bytes
-                 and interleave & (interleave - 1) == 0
-                 and banks & (banks - 1) == 0)
-    il_shift = interleave.bit_length() - 1
-    bank_mask = banks - 1
-    bank_shift = banks.bit_length() - 1
-    open_row = dram._open_row
     service = rparams.target_service_cycles
     off_page = rparams.remote_off_page_cycles
     ack_overhead = rparams.write_ack_overhead_cycles
@@ -95,36 +81,12 @@ def make_inbound_on_retire(node, rparams: RemoteAccessParams):
             arrival = node.inbound_busy_until
         node.inbound_busy_until = arrival + service
         line_local = entry.line_addr & mask
-        if geom_flat:
-            # Inlined Dram.access_with for the flat T3D geometry
-            # (interleave == page size, powers of two): row is simply
-            # block // banks, so shifts replace the divmod chain.
-            block = line_local >> il_shift
-            bank = block & bank_mask
-            row = block >> bank_shift
-            mem_cycles = access_cycles
-            dram.accesses += 1
-            if open_row[bank] != row:
-                dram.row_misses += 1
-                mem_cycles += off_page
-                if bank == dram._last_bank:
-                    dram.same_bank_conflicts += 1
-                    mem_cycles += same_bank
-                open_row[bank] = row
-            dram._last_bank = bank
-        else:
-            mem_cycles = access_with(line_local, off_page, same_bank)
+        mem_cycles = access_with(line_local, off_page, same_bank)
         nbytes = 0
         for waddr, wvalue in entry.words.items():
             local = waddr & mask
             mem_store(local, wvalue)
-            if l1_tags is not None:
-                # Inlined direct-mapped Cache.invalidate.
-                index = (local // l1_lb) % l1_sets
-                if l1_tags.get(index) == local - (local % l1_lb):
-                    del l1_tags[index]
-            else:
-                l1_invalidate(local)
+            l1_invalidate(local)
             nbytes += WORD_BYTES
         ack_time = arrival + mem_cycles + flight + ack_overhead
         src._acks.append(
@@ -135,7 +97,55 @@ def make_inbound_on_retire(node, rparams: RemoteAccessParams):
                         ack_time=ack_time)
         record_arrival(nbytes, arrival + mem_cycles, line_local)
 
-    return on_retire
+    def retire_run(meta, times, lines, nbytes, blocks):
+        """``on_retire`` of a run of entries sharing ``meta``, in
+        order: ``times``, ``lines`` and ``nbytes`` hold each entry's
+        retire time, line address and bytes (numpy arrays), ``blocks``
+        their words in entry order (word dicts, and ``(addr, values)``
+        runs of consecutive words).
+
+        The DRAM accesses are one :meth:`Dram.plan_access`; the arrival
+        chain ``a_e = max(r_e + flight, a_{e-1} + service)`` (``a_{-1} +
+        service`` the interface's busy time) is ``e * service`` plus a
+        running maximum of ``r_j + flight - j * service``.  Exact when
+        every value is on the 2^-8 grid and every sum below 2^44, which
+        the caller checks; never traced.
+        """
+        flight, src = meta
+        local = lines & mask
+        mem_cycles, dram_commit = dram.plan_access(local, off_page,
+                                                   same_bank)
+        dram_commit()
+        steps = service * _np.arange(len(times))
+        ready = times + flight - steps
+        ready[0] = max(ready[0], node.inbound_busy_until)
+        arrival = _np.maximum.accumulate(ready) + steps
+        node.inbound_busy_until = float(arrival[-1]) + service
+        landed = arrival + mem_cycles
+        src._acks.extend(map(AckRecord, times.tolist(),
+                             (landed + flight + ack_overhead).tolist(),
+                             nbytes.tolist()))
+        for block in blocks:
+            if type(block) is dict:
+                for waddr, wvalue in block.items():
+                    word = waddr & mask
+                    mem_store(word, wvalue)
+                    l1_invalidate(word)
+                continue
+            addr, values = block
+            word = addr & mask
+            span = len(values) * WORD_BYTES
+            if word + span - WORD_BYTES <= mask:
+                memory.store_range(word, values)
+                l1.invalidate_range(word, span)
+            else:
+                for i, value in enumerate(values):
+                    word = (addr + i * WORD_BYTES) & mask
+                    mem_store(word, value)
+                    l1_invalidate(word)
+        node.record_store_arrivals(nbytes, landed, local)
+
+    return on_retire, retire_run
 
 
 class AckRecord:
@@ -164,7 +174,7 @@ class PeerLink:
 
     __slots__ = ("node", "flight", "access_with", "peek_access_with",
                  "same_bank", "access_cycles", "mem_load", "on_retire",
-                 "retire_meta", "dram")
+                 "retire_run", "retire_meta", "dram")
 
     def __init__(self, unit: "RemoteAccessUnit", pe: int):
         node = unit.fabric.node(pe)
@@ -176,7 +186,7 @@ class PeerLink:
         # sender identity, carried to retirement as ``retire_meta``.
         (self.dram, self.access_with, self.peek_access_with,
          self.same_bank, self.access_cycles, self.mem_load,
-         self.on_retire) = node.peer_exports()
+         self.on_retire, self.retire_run) = node.peer_exports()
         self.node = node
         self.flight = unit.fabric.hops(unit.my_pe, pe) \
             * unit.network.hop_cycles
@@ -213,10 +223,8 @@ class RemoteAccessUnit:
 
     def reset(self) -> None:
         # The peer-link cache deliberately survives reset: every
-        # binding a PeerLink holds (nodes, unit methods, the DRAM
-        # open-row list, the direct-mapped tag dict) is stable for the
-        # machine's life — the stateful containers are cleared *in
-        # place* by their own resets.  Rebuilding ~200 links per node
+        # binding a PeerLink holds (nodes, units and their methods) is
+        # stable for the machine's life.  Rebuilding ~200 links per node
         # between the warmup and measured runs was a measurable cost
         # at 1024 processors.
         self._acks = []
@@ -479,12 +487,26 @@ class RemoteAccessUnit:
         ``pes`` is an int64 numpy array, or one int for every store;
         ``offsets`` and ``full_addrs`` are sequences of ints.
 
-        The drain of each non-merging store peeks its target's DRAM
-        before the store's flush, as :meth:`store` does, and retiring
-        entries run their target's real ``on_retire`` at each flush
-        point.
+        A stream of at least ``_MIN_CLOSED_STORES`` stores to one target
+        runs in closed form (:meth:`_stream_closed`) as far as that
+        goes; the loop issues the rest.  In the loop, the drain of each
+        non-merging store peeks its target's DRAM before the store's
+        flush, as :meth:`store` does, and retiring entries run their
+        target's real ``on_retire`` at each flush point.
         """
-        n = len(values)
+        n = total = len(values)
+        if n >= _memsys._MIN_CLOSED_STORES:
+            closed = self._stream_closed(now, pes, offsets, full_addrs,
+                                         values, source)
+            if closed is not None:
+                done, now, source = closed
+                if done == n:
+                    self.stores += n
+                    return now
+                offsets, full_addrs = offsets[done:], full_addrs[done:]
+                values = values[done:]
+                pes = pes if isinstance(pes, int) else pes[done:]
+                n -= done
         pes = [pes] * n if isinstance(pes, int) else pes.tolist()
         links = {pe: self._peer(pe) for pe in set(pes)}
         if self.my_pe in links:
@@ -512,8 +534,80 @@ class RemoteAccessUnit:
             list(map(retire.__getitem__, pes)),
             isolate=(self.inbound(self.my_pe),))
         if clock is not None:
-            self.stores += n
+            self.stores += total
         return clock
+
+    def _stream_closed(self, now, pes, offsets, full_addrs, values,
+                       source):
+        """:meth:`WriteBuffer.stream_closed` of the stores of
+        :meth:`stream_stores` with the target's :class:`RemoteTarget`:
+        its DRAM peeks as of each store's flush point
+        (:meth:`Dram.peek_after`) and its ``retire_run``.  None, with
+        nothing changed, for more than one target, a source other than
+        a :class:`BlockingSource`, an offset whose local bits differ
+        from its full address's, a DRAM geometry not in whole lines, or
+        off the exactness envelope; this also leaves the loop able to
+        issue whatever the closed form does not.
+        """
+        if not len(values):
+            return None
+        if isinstance(pes, int):
+            pe = pes
+        else:
+            pe = int(pes[0])
+            if (pes != pe).any():
+                return None
+        if pe == self.my_pe or type(source) is not BlockingSource:
+            return None
+        mask = LOCAL_ADDR_MASK
+        local, full = (
+            _np.arange(x.start, x.stop, x.step) if isinstance(x, range)
+            else _np.asarray(x, dtype=_np.int64)
+            for x in (offsets, full_addrs))
+        if ((local ^ full) & mask).any():
+            return None
+        link = self._peer(pe)
+        wb = self.memsys.write_buffer
+        cap = wb._capacity
+        p = self.params
+        dram = link.dram
+        store_drain = p.store_drain_cycles
+        off_page = p.remote_off_page_cycles
+        same_bank, access = link.same_bank, link.access_cycles
+        service = p.target_service_cycles
+        kinds = (store_drain, store_drain + off_page,
+                 store_drain + off_page + same_bank)
+        gaps = source.gaps
+        times = (now, wb._last_retire, link.node.inbound_busy_until,
+                 *(e.retire_time for e in wb._pending))
+        charges = (source.lead, wb._issue_cycles, link.flight, off_page,
+                   same_bank, access, service, p.write_ack_overhead_cycles,
+                   *kinds, *(k / cap for k in kinds))
+        # Every clock, retire time, arrival and acknowledgement of the
+        # stream stays below this bound.
+        n = len(values)
+        top = (max(map(abs, times)) + float(gaps.sum())
+               + n * (source.lead + wb._issue_cycles + kinds[-1] / cap)
+               + (n + len(wb._pending)) * service + 2 * link.flight
+               + access + off_page + same_bank + p.write_ack_overhead_cycles)
+        lb = wb.line_bytes
+        if (cap & (cap - 1) or store_drain <= 0
+                or dram.params.bank_interleave_bytes % lb
+                or dram.params.page_bytes % lb or min(charges) < 0
+                or not all(on_grid(x) for x in (*times, *charges))
+                or not array_on_grid(gaps) or gaps.min() < 0
+                or top >= CEILING):
+            return None
+
+        def peek(lines, counts, queries):
+            return store_drain + (dram.peek_after(
+                lines & mask, counts, queries & mask, off_page,
+                same_bank) - access)
+
+        return wb.stream_closed(
+            now, full_addrs, values,
+            RemoteTarget(link.on_retire, link.retire_meta, peek,
+                         link.retire_run), source)
 
     def invalidate_cached_line(self, full_addr: int) -> float:
         """Coherence flush of a remotely-fetched line (23 cycles)."""

@@ -9,6 +9,8 @@ time:
                                 (direct-mapped)
 :func:`dram_cost_stream`,       :meth:`repro.node.dram.Dram.access_with`
 :func:`dram_row_events`
+:func:`dram_bank_row`           the bank and row ``Dram.access_with``
+                                maps an address to
 :func:`tlb_cost_stream`         :meth:`repro.node.tlb.Tlb.translate`
                                 (fully-associative LRU)
 ==============================  =====================================
@@ -42,6 +44,7 @@ from repro.vector import UnsupportedStimulus
 __all__ = [
     "chunks",
     "direct_mapped_hit_mask",
+    "dram_bank_row",
     "dram_cost_stream",
     "dram_row_events",
     "sawtooth_addresses",
@@ -154,6 +157,24 @@ def direct_mapped_hit_mask(addrs: np.ndarray, line_bytes: int,
                     lines, num_sets, resident)  # equal, for ints >= 0
 
 
+def dram_bank_row(addrs: np.ndarray, *, interleave: int, banks: int,
+                  page_bytes: int):
+    """The bank and the row within it of each address, as ``(bank,
+    row)`` int64 arrays: :meth:`Dram.access_with`'s mapping (banks
+    interleaved every ``interleave`` bytes), in shifts and masks when
+    every size is a power of two (the same floors and remainders)."""
+    if all(x & (x - 1) == 0 for x in (interleave, banks, page_bytes)):
+        shift = interleave.bit_length() - 1
+        block = addrs >> shift
+        return (block & (banks - 1),
+                ((block >> (banks.bit_length() - 1)) << shift
+                 | addrs & (interleave - 1)) >> (page_bytes.bit_length() - 1))
+    block = addrs // interleave
+    return (block % banks,
+            ((block // banks) * interleave + addrs % interleave)
+            // page_bytes)
+
+
 def dram_row_events(addrs: np.ndarray, *, interleave: int, banks: int,
                     page_bytes: int, open_rows=None, last_bank: int = -1):
     """Bank, row miss and same-bank conflict of each access to a
@@ -173,9 +194,8 @@ def dram_row_events(addrs: np.ndarray, *, interleave: int, banks: int,
     place to the open rows after the stream.
     """
     n = len(addrs)
-    block = addrs // interleave
-    bank = block % banks
-    row = ((block // banks) * interleave + addrs % interleave) // page_bytes
+    bank, row = dram_bank_row(addrs, interleave=interleave, banks=banks,
+                              page_bytes=page_bytes)
     miss = ~_repeats(bank, row, banks, open_rows)
     conflict = np.zeros(n, dtype=bool)
     if n:

@@ -10,17 +10,19 @@ Transfers start off line boundaries and many cross a 16 KB DRAM page.
 The sequence runs once batched and once under ``tiers.reference()``;
 the full machine fingerprint must match after every step.  Sizes reach
 past the closed-form stream's minimum length and across one of its
-chunk boundaries (``WriteBuffer.stream_closed``).
+chunk boundaries (``WriteBuffer.stream_closed``, local and remote).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro import tiers
 from repro.node.write_buffer import WriteBuffer
+from repro.shell.remote import RemoteAccessUnit
 from repro.shell.annex import ReadMode
 from repro.splitc import bulk
 from repro.splitc.gptr import GlobalPtr
@@ -146,3 +148,45 @@ def test_each_read_mechanism_runs_closed_form(monkeypatch):
         ref = _trajectory(5, steps, run_step)
     assert fast == ref
     assert {"uncached", "cached", "prefetch", "get"} <= ran
+
+
+@pytest.mark.parametrize("nwords", [256, 2100])
+def test_each_write_mechanism_runs_closed_form(monkeypatch, nwords):
+    """Bulk stores and puts of 256 and 2,100 words (the second across a
+    chunk boundary), over warm buffers holding a pending store to the
+    target, each issue every store through the closed-form remote stream,
+    and still match the word loops.  The plan's BLT threshold is raised
+    so the long put stays on stores."""
+    closed = []
+    stream_closed = RemoteAccessUnit._stream_closed
+
+    def spy(self, now, pes, offsets, full_addrs, values, source):
+        got = stream_closed(self, now, pes, offsets, full_addrs, values,
+                            source)
+        if got is not None and got[0] == len(values):
+            closed.append(len(values))
+        return got
+
+    monkeypatch.setattr(RemoteAccessUnit, "_stream_closed", spy)
+    ran = []
+
+    def run_step(sc, step):
+        closed.clear()
+        sc.plan = dataclasses.replace(sc.plan, bulk_get_blt_threshold=1 << 30)
+        _run_step(sc, step)
+        if closed:
+            ran.append(step[0])
+
+    big = 8 * nwords
+    steps = [(kind, src, dst, nbytes, 3.0) for kind, src, dst, nbytes in [
+        ("remote_store", 0x70000, 0, 8),
+        ("stores", PAGE - 40, 2 * PAGE - 16, big),
+        ("charge", 0, 0, 8),
+        ("remote_store", 0x70020, 0, 8),
+        ("put", 0x9000, 3 * PAGE + 8, big),
+        ("sync", 0, 0, 8)]]
+    fast = _trajectory(11, steps, run_step)
+    with tiers.reference():
+        ref = _trajectory(11, steps, run_step)
+    assert fast == ref
+    assert ran == ["stores", "put"]

@@ -360,6 +360,51 @@ def test_put_scatter_runs_identical_in_full_state(monkeypatch, node,
     assert streamed == ([True] * 2 * params.num_nodes if expect else [])
 
 
+def test_multi_target_put_scatter_declines_closed_form_unplanned(
+        monkeypatch):
+    """A streamed put run over three targets, long enough to try the
+    closed-form remote stream, declines it before planning anything
+    (no target DRAM plan or peek) and still streams through the loop."""
+    from repro.node import memsys
+    from repro.node.dram import Dram
+    from repro.splitc.runtime import run_splitc
+
+    inside, planned, closed, streamed = [], [], [], []
+    stream_closed = RemoteAccessUnit._stream_closed
+    stream_stores = RemoteAccessUnit.stream_stores
+
+    def closed_spy(*args):
+        inside.append(True)
+        try:
+            got = stream_closed(*args)
+        finally:
+            inside.pop()
+        closed.append(got)
+        return got
+
+    def stores_spy(*args):
+        clock = stream_stores(*args)
+        streamed.append(clock is not None)
+        return clock
+
+    for name in ("plan_access", "peek_after"):
+        real = getattr(Dram, name)
+
+        def spy(self, *args, real=real, name=name):
+            if inside:
+                planned.append(name)
+            return real(self, *args)
+
+        monkeypatch.setattr(Dram, name, spy)
+    monkeypatch.setattr(RemoteAccessUnit, "_stream_closed", closed_spy)
+    monkeypatch.setattr(RemoteAccessUnit, "stream_stores", stores_spy)
+    run_splitc(Machine(t3d_machine_params((2, 2, 1))),
+               _scatter_program(memsys._MIN_CLOSED_STORES))
+    assert closed and all(got is None for got in closed)
+    assert planned == []
+    assert streamed and all(streamed)
+
+
 # ----------------------------------------------------------------------
 # get_scatter's streamed drains against the get_from loop, in full state
 # ----------------------------------------------------------------------
