@@ -272,6 +272,64 @@ WRITE_MECHANISMS = {
 }
 
 
+#: Figure 8's buffers: (source PE, source offset, destination PE,
+#: destination offset) of a bulk read, and of a bulk write.
+_READ_BUFFERS = (1, 0, 0, 0x400000)
+_WRITE_BUFFERS = (0, 0, 1, 0x400000)
+
+
+def _bulk_machine(nbytes: int, buffers) -> Machine:
+    """A fresh 2-PE machine whose transfer source and destination (a
+    ``buffers`` tuple) are ``"f8"`` segments of ``nbytes``, the source
+    filled with distinct floats.  The fill is host work: no simulated
+    access, so the transfer times as on an unsegmented machine, and the
+    transferred words move through the segments' typed buffers."""
+    import numpy as np
+
+    src_pe, src_offset, dst_pe, dst_offset = buffers
+    nwords = nbytes // WORD_BYTES
+    machine = _fresh_pair()
+    nodes = machine.nodes
+    src = nodes[src_pe].memsys.memory.alloc_segment(src_offset, nwords)
+    src.fill(0, np.arange(1.0, nwords + 1))
+    nodes[dst_pe].memsys.memory.alloc_segment(dst_offset, nwords)
+    return machine
+
+
+def _bulk_read_point(machine: Machine, name: str, mech,
+                     nbytes: int) -> BandwidthPoint:
+    """One Figure 8 read: ``nbytes`` from PE 1 offset 0 into PE 0 at
+    ``0x400000`` by ``mech`` (``READ_MECHANISMS[name]``)."""
+    src_pe, src_offset, dst_pe, dst_offset = _READ_BUFFERS
+    sc = SplitC(machine.make_contexts()[dst_pe])
+    src = GlobalPtr(src_pe, src_offset)
+    before = sc.ctx.clock
+    if name == "splitc":
+        sc.bulk_read(dst_offset, src, nbytes)
+    else:
+        mech(sc, dst_offset, src, nbytes)
+    return BandwidthPoint(name, nbytes, mb_per_s(nbytes, sc.ctx.clock - before))
+
+
+def _bulk_write_point(machine: Machine, name: str, mech, nbytes: int,
+                      source_cached: bool = False) -> BandwidthPoint:
+    """One Figure 8 write: ``nbytes`` from PE 0 offset 0 to PE 1 at
+    ``0x400000`` by ``mech`` (``WRITE_MECHANISMS[name]``), from a source
+    whose first 8 KB are warmed into the cache with ``source_cached``."""
+    src_pe, src_offset, dst_pe, dst_offset = _WRITE_BUFFERS
+    sc = SplitC(machine.make_contexts()[src_pe])
+    dst = GlobalPtr(dst_pe, dst_offset)
+    if source_cached:
+        for i in range(0, min(nbytes, 8 * KB), WORD_BYTES):
+            sc.ctx.local_read(src_offset + i)
+    before = sc.ctx.clock
+    if name == "splitc":
+        sc.bulk_write(dst, src_offset, nbytes)
+    else:
+        mech(sc, dst, src_offset, nbytes)
+    return BandwidthPoint(name, nbytes, mb_per_s(nbytes, sc.ctx.clock - before))
+
+
 def bulk_read_bandwidth_probe(sizes=None, mechanisms=None) -> list[BandwidthPoint]:
     """Figure 8 (left): bulk read bandwidth per mechanism and size."""
     sizes = sizes if sizes is not None else [
@@ -280,15 +338,8 @@ def bulk_read_bandwidth_probe(sizes=None, mechanisms=None) -> list[BandwidthPoin
     points = []
     for name, mech in mechanisms.items():
         for nbytes in sizes:
-            machine = _fresh_pair()
-            sc = SplitC(machine.make_contexts()[0])
-            before = sc.ctx.clock
-            if name == "splitc":
-                sc.bulk_read(0x400000, GlobalPtr(1, 0), nbytes)
-            else:
-                mech(sc, 0x400000, GlobalPtr(1, 0), nbytes)
-            points.append(BandwidthPoint(
-                name, nbytes, mb_per_s(nbytes, sc.ctx.clock - before)))
+            machine = _bulk_machine(nbytes, _READ_BUFFERS)
+            points.append(_bulk_read_point(machine, name, mech, nbytes))
             machine.release()
     return points
 
@@ -302,18 +353,9 @@ def bulk_write_bandwidth_probe(sizes=None, mechanisms=None,
     points = []
     for name, mech in mechanisms.items():
         for nbytes in sizes:
-            machine = _fresh_pair()
-            sc = SplitC(machine.make_contexts()[0])
-            if source_cached:
-                for i in range(0, min(nbytes, 8 * KB), WORD_BYTES):
-                    sc.ctx.local_read(i)
-            before = sc.ctx.clock
-            if name == "splitc":
-                sc.bulk_write(GlobalPtr(1, 0x400000), 0, nbytes)
-            else:
-                mech(sc, GlobalPtr(1, 0x400000), 0, nbytes)
-            points.append(BandwidthPoint(
-                name, nbytes, mb_per_s(nbytes, sc.ctx.clock - before)))
+            machine = _bulk_machine(nbytes, _WRITE_BUFFERS)
+            points.append(_bulk_write_point(machine, name, mech, nbytes,
+                                            source_cached))
             machine.release()
     return points
 

@@ -54,6 +54,9 @@ _KINDS = {
 
 _MISSING = object()
 
+#: Words a :class:`WordRun` loads at a time while it is iterated.
+_RUN_SLICE_WORDS = 2048
+
 
 class Segment:
     """One contiguous typed run of words at a fixed byte stride.
@@ -187,14 +190,27 @@ class WordRun:
     def __len__(self) -> int:
         return self.nwords
 
-    def __getitem__(self, index: slice) -> list:
-        start, stop, _step = index.indices(self.nwords)
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            i = index + self.nwords if index < 0 else index
+            if not 0 <= i < self.nwords:
+                raise IndexError("WordRun index out of range")
+            value = self.overrides.get(i, _MISSING)
+            return (self.memory.load(self.addr + i * WORD_BYTES)
+                    if value is _MISSING else value)
+        start, stop, step = index.indices(self.nwords)
+        if step != 1:
+            return [self[i] for i in range(start, stop, step)]
         values = self.memory.load_range(self.addr + start * WORD_BYTES,
                                         max(0, stop - start))
         for i, value in self.overrides.items():
             if start <= i < stop:
                 values[i - start] = value
         return values
+
+    def __iter__(self):
+        for start in range(0, self.nwords, _RUN_SLICE_WORDS):
+            yield from self[start:start + _RUN_SLICE_WORDS]
 
 
 class WordMemory:

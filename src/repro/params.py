@@ -199,6 +199,9 @@ class TlbParams:
     #: Huge-page machines are modeled as never missing.
     never_misses: bool = True
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "entries", "page_bytes")
+
 
 @dataclass(frozen=True)
 class AlphaParams:
@@ -348,6 +351,9 @@ class PrefetchParams:
     table_cycles: float = 10.0
     #: Split-C get: final store into the local target (section 5.4).
     local_store_cycles: float = 3.0
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "queue_depth")
 
 
 @dataclass(frozen=True)

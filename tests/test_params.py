@@ -112,6 +112,9 @@ def test_describe_summarizes_the_machine():
     (P.DramParams, "banks"),
     (P.DramParams, "bank_interleave_bytes"),
     (P.DramParams, "page_bytes"),
+    (P.TlbParams, "entries"),
+    (P.TlbParams, "page_bytes"),
+    (P.PrefetchParams, "queue_depth"),
 ])
 @pytest.mark.parametrize("value", [0, -1])
 def test_impossible_geometry_is_rejected_at_construction(cls, field, value):

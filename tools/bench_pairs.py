@@ -19,6 +19,14 @@ Example::
     python3 tools/bench_pairs.py --base HEAD~1 --workload bulk-transfer \\
         --seed 1995 --seed 2718 --pairs 10 --claim bulk-transfer:wall_rel
 
+With ``--setup-only N`` it times set-up alone: ``N`` children per tree
+of ``python3 -m bench.child --mode setup`` (the workload's imports and
+inputs, up to its ``ready`` line), alternating trees, and prints each
+side's median and interquartile range of spawn-to-ready seconds::
+
+    python3 tools/bench_pairs.py --base HEAD~1 --workload em3d-fig9 \\
+        --setup-only 12
+
 Run nothing else on the host meanwhile: the runs are timed.
 """
 
@@ -32,9 +40,14 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "worktree"
+
+sys.path.insert(0, str(ROOT))
+from bench.compare import stats  # noqa: E402
+from bench.run import child_env  # noqa: E402
 
 
 def _git(*args) -> bytes:
@@ -70,6 +83,39 @@ def run_once(tree: Path, workload: str, seed: int, out: Path) -> None:
     print(f"  {out.relative_to(out.parents[2])}", flush=True)
 
 
+def setup_once(tree: Path, workload: str, seed: int) -> float:
+    """Seconds from spawning a set-up-only child in ``tree`` to its
+    ``ready`` line, in the environment ``bench run`` gives a child."""
+    cmd = [sys.executable, "-m", "bench.child", "--workload", workload,
+           "--seed", str(seed), "--seconds", "1", "--mode", "setup"]
+    env = dict(child_env(), PYTHONPATH=str(tree / "src"))
+    start = perf_counter()
+    with subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          text=True) as proc:
+        ready = proc.stdout.readline()
+        seconds = perf_counter() - start
+        proc.communicate()
+    if proc.returncode != 0 or ready.strip() != "ready":
+        raise RuntimeError(f"{workload} set-up child in {tree} exited "
+                           f"with code {proc.returncode}")
+    return seconds
+
+
+def setup_pairs(trees: dict, workload: str, seed: int, count: int) -> None:
+    """Time ``count`` set-up-only children per tree, alternating which
+    tree goes first, and print each side's median and IQR."""
+    times = {"base": [], "new": []}
+    for i in range(count):
+        for side in ("base", "new") if i % 2 == 0 else ("new", "base"):
+            times[side].append(setup_once(trees[side], workload, seed))
+    for side, values in times.items():
+        summary = stats(values)
+        print(f"  {side:4}  median {summary['median']:.3f} s  IQR "
+              f"{summary['q3'] - summary['q1']:.3f} s "
+              f"({summary['q1']:.3f}-{summary['q3']:.3f}), "
+              f"range {min(values):.3f}-{max(values):.3f}", flush=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tools/bench_pairs.py",
@@ -88,11 +134,22 @@ def main(argv=None) -> int:
                         help="W:M claim for bench compare (repeatable)")
     parser.add_argument("--out", type=Path, default=ROOT / "bench-pairs",
                         help="directory for the result files")
+    parser.add_argument("--setup-only", type=int, metavar="N",
+                        help="time N set-up-only children per tree "
+                        "instead of running pairs")
     args = parser.parse_args(argv)
     seeds = args.seed or [1995]
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"base": make_tree(args.base, Path(tmp) / "base"),
                  "new": make_tree(args.new, Path(tmp) / "new")}
+        if args.setup_only:
+            for seed in seeds:
+                for workload in args.workload:
+                    print(f"{workload} seed {seed}: {args.setup_only} "
+                          f"set-up-only children per side, {args.base} "
+                          f"vs {args.new}", flush=True)
+                    setup_pairs(trees, workload, seed, args.setup_only)
+            return 0
         status = 0
         for seed in seeds:
             files = {"base": [], "new": []}
