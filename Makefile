@@ -3,8 +3,12 @@ PYTHON ?= python3
 .PHONY: test bench-cold bench-cold-compare bench-pairs docs-check \
 	experiments examples quickcheck clean
 
+# The package is not installed: every target that imports repro runs
+# with src/ on the path.  `make test` is the tier-1 suite.
+SRC_PATH = PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}
+
 test:
-	$(PYTHON) -m pytest tests/
+	$(SRC_PATH) $(PYTHON) -m pytest -x -q
 
 # The cold benchmark that performance claims cite (bench/README.md):
 # every workload in fresh single-threaded children, results in
@@ -39,16 +43,16 @@ docs-check:
 	PYTHONPATH=src $(PYTHON) tools/check_doc_links.py
 
 experiments:
-	$(PYTHON) -m repro experiments -o EXPERIMENTS.md
+	$(SRC_PATH) $(PYTHON) -m repro experiments -o EXPERIMENTS.md
 
 examples:
 	@for f in examples/*.py; do \
-		echo "== $$f"; $(PYTHON) $$f > /dev/null || exit 1; \
+		echo "== $$f"; $(SRC_PATH) $(PYTHON) $$f > /dev/null || exit 1; \
 	done; echo "all examples ran"
 
 quickcheck:
-	$(PYTHON) -m repro hazards
-	$(PYTHON) -m repro em3d --quick
+	$(SRC_PATH) $(PYTHON) -m repro hazards
+	$(SRC_PATH) $(PYTHON) -m repro em3d --quick
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null; \

@@ -69,7 +69,7 @@ class Node:
         self.remote = RemoteAccessUnit(
             params.shell.remote, params.network, pe, self.memsys, fabric)
         self.prefetch = PrefetchQueue(
-            params.shell.prefetch, params.network, pe, fabric)
+            params.shell.prefetch, params.network, pe, self.remote)
         self.blt = BlockTransferEngine(params.shell.blt, pe, fabric)
         self.atomics = AtomicUnit(params.shell.atomics, pe, fabric)
         self.msgq = MessageUnit(params.shell.msgq, params.network, pe, fabric)

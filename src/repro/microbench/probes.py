@@ -81,14 +81,30 @@ def _fresh_pair():
     return Machine(t3d_machine_params((2, 1, 1)))
 
 
+#: Words of PE 1 that :func:`remote_read_probe` lays out as a typed
+#: segment on the machine it makes: 1 MB, the largest default array.
+_REMOTE_READ_WORDS = 1024 * KB // WORD_BYTES
+
+
 def remote_read_probe(machine: Machine | None = None,
                       mechanism: str = "uncached", **kwargs) -> LatencyCurves:
     """Figure 4: remote read latency profile.
 
     ``mechanism`` is ``"uncached"``, ``"cached"``, or ``"splitc"`` (the
-    full Split-C read including annex set-up and checks).
+    full Split-C read including annex set-up and checks).  While the
+    fast paths are on, each point's reads are one plan of the machine's
+    own remote-read model (:func:`_remote_read_sweep`); the reference
+    loop runs a point the plan declines.  A machine the probe makes
+    holds distinct floats in PE 1's first megabyte, an ``"f8"``
+    segment, so the plans gather the words they read in one pass.
     """
-    machine = machine if machine is not None else _fresh_pair()
+    if machine is None:
+        import numpy as np
+
+        machine = _fresh_pair()
+        target = machine.node(1).memsys.memory.alloc_segment(
+            0, _REMOTE_READ_WORDS)
+        target.fill(0, np.arange(1.0, _REMOTE_READ_WORDS + 1))
     node0 = machine.node(0)
     sc = SplitC(machine.make_contexts()[0])
 
@@ -113,11 +129,52 @@ def remote_read_probe(machine: Machine | None = None,
         machine.reset()
         sc.annex_policy.reset()
 
-    kwargs.setdefault("sweep_fn", _vector.stride_sweep_fn(
-        "remote_read", machine=machine, mechanism=mechanism,
-        splitc=sc if mechanism == "splitc" else None))
+    kwargs.setdefault("sweep_fn", _remote_read_sweep(node0, sc, mechanism))
     kwargs.setdefault("memo_key", ("remote_read", mechanism, machine.params))
     return run_stride_probe(access, reset_fn=reset, **kwargs)
+
+
+def _remote_read_sweep(node0, sc: SplitC, mechanism: str):
+    """A ``sweep_fn`` that times a whole point's reads from node 0 of
+    node 1's words as one plan, or None with the fast paths off:
+    :meth:`~repro.shell.remote.RemoteAccessUnit.plan_uncached`,
+    :meth:`SplitC.plan_reads`, or
+    :meth:`~repro.shell.remote.RemoteAccessUnit.plan_cached` of the
+    addresses through Annex entry 1.  The point commits its plan, so
+    it leaves the machine as its reference loop does; a plan that
+    declines raises :class:`~repro.vector.UnsupportedStimulus`."""
+    if not _vector.enabled():
+        return None
+    import numpy as np
+
+    from repro.vector.kernels import sawtooth_addresses, validate_point
+
+    remote = node0.remote
+    annex_bit = node0.annex.compose_address(1, 0)
+
+    def plan(addrs):
+        if mechanism == "uncached":
+            return remote.plan_uncached(1, addrs)
+        if mechanism == "splitc":
+            return sc.plan_reads(np.ones(len(addrs), dtype=np.int64), addrs)
+        planned = remote.plan_cached(1, addrs, addrs | annex_bit, None)
+        return planned and planned[0]
+
+    def sweep(base, stride, count, warmup_passes, measure_passes):
+        validate_point(base, stride, count, warmup_passes, measure_passes)
+        addrs = sawtooth_addresses(base, stride, count,
+                                   warmup_passes + measure_passes)
+        reads = plan(addrs)
+        if reads is None:
+            raise _vector.UnsupportedStimulus(
+                f"{mechanism} read plan declined")
+        reads.commit()
+        if mechanism == "splitc":
+            sc.ctx.clock = float(reads.cycles.sum())
+        total = float(reads.cycles[warmup_passes * count:].sum())
+        return total, count * measure_passes
+
+    return sweep
 
 
 def remote_write_probe(machine: Machine | None = None,
@@ -457,16 +514,24 @@ def streaming_bandwidth_probe(memsys: MemorySystem,
                               nbytes: int = 256 * KB) -> float:
     """Section 2.2: sequential-read bandwidth out of main memory.
 
-    The vectorized tier computes the whole cold pass analytically
-    (:func:`repro.vector.streaming_read_total`, bit-identical); the
-    reference loop runs when the tier is off or declines the stimulus.
+    The stimulus is one cold pass of word-stride reads: Figure 1's
+    stride probe at a single point, which the vectorized tier's
+    ``local_read`` sweep computes (bit-identical) when it is on and
+    claims it; the reference loop runs otherwise.
     """
     memsys.reset()
-    total = _vector.streaming_read_total(memsys.params, nbytes)
+    addrs = range(0, nbytes, WORD_BYTES)
+    sweep = _vector.stride_sweep_fn("local_read", node_params=memsys.params)
+    total = None
+    if sweep is not None:
+        try:
+            total, _ = sweep(0, WORD_BYTES, len(addrs), 0, 1)
+        except _vector.UnsupportedStimulus:
+            pass
     if total is None:
         now = 0.0
         total = 0.0
-        for addr in range(0, nbytes, WORD_BYTES):
+        for addr in addrs:
             cycles = memsys.read_cycles(now, addr)
             total += cycles
             now += cycles

@@ -59,12 +59,13 @@ class PrefetchQueue:
     """Per-node binding prefetch FIFO."""
 
     def __init__(self, params: PrefetchParams, network: NetworkParams,
-                 my_pe: int, fabric):
+                 my_pe: int, remote):
         self.params = params
         self.network = network
         self.my_pe = my_pe
-        self.fabric = fabric
-        self._peer_cache: dict[int, tuple] = {}
+        #: The node's :class:`RemoteAccessUnit`: its per-target
+        #: :class:`PeerLink` and remote DRAM penalties time every read.
+        self.remote = remote
         self._fifo: deque[_InFlight] = deque()
         self._issued_since_pop = 0
         self.issues = 0
@@ -78,7 +79,6 @@ class PrefetchQueue:
                 "outstanding": len(self._fifo)}
 
     def reset(self) -> None:
-        self._peer_cache.clear()
         self._fifo.clear()
         self._issued_since_pop = 0
         self.issues = 0
@@ -91,19 +91,10 @@ class PrefetchQueue:
     def depth(self) -> int:
         return self.params.queue_depth
 
-    def _peer(self, pe: int) -> tuple:
-        peer = self._peer_cache.get(pe)
-        if peer is None:
-            target = self.fabric.node(pe)
-            peer = self._peer_cache[pe] = (
-                target.memsys.dram.access_with,
-                target.memsys.params.dram.same_bank_cycles,
-                target.memsys.params.dram.access_cycles,
-                2 * max(0, self.fabric.hops(self.my_pe, pe) - 1)
-                * self.network.hop_cycles,
-                target.memsys.memory.load,
-            )
-        return peer
+    def _extra_hops(self, link) -> float:
+        """Round-trip cycles of the hops beyond the adjacent one the
+        calibrated round trip covers."""
+        return 2 * max(0.0, link.flight - self.network.hop_cycles)
 
     def plan_read(self, now: float, pes, offsets, loop_cycles: float,
                   group: int = 1, pre_issue=None, table_cycles: float = 0.0):
@@ -154,7 +145,8 @@ class PrefetchQueue:
             targets, starts = _np.unique(pes[order], return_index=True)
             parts = [(pe, offsets[reads], reads) for pe, reads in zip(
                 targets.tolist(), _np.split(order, starts[1:]))]
-        remote = self.fabric.node(self.my_pe).remote
+        remote = self.remote
+        off_page = remote.params.remote_off_page_cycles
         isolate = [remote.inbound(self.my_pe)]
         latency = _np.empty(n)
         values = _np.empty(n)
@@ -162,16 +154,16 @@ class PrefetchQueue:
         for pe, part, reads in parts:
             if pe == self.my_pe:
                 return None
-            target = self.fabric.node(pe)
-            _access, same_bank, base, extra_hop_cycles, _load = \
-                self._peer(pe)
-            planned = target.memsys.dram.plan_access(part, 15.0, same_bank)
+            link = remote.link(pe)
+            base = link.access_cycles
+            extra_hop_cycles = self._extra_hops(link)
+            planned = link.dram.plan_access(part, off_page, link.same_bank)
             if planned is None or not (on_grid(base)
                                        and on_grid(extra_hop_cycles)):
                 return None
             costs, dram_commit = planned
             latency[reads] = (costs - base) + extra_hop_cycles
-            memory = target.memsys.memory
+            memory = link.node.memsys.memory
             if ranged:
                 values = WordRun(memory, part.start, n)
             else:
@@ -218,19 +210,20 @@ class PrefetchQueue:
             )
         self.issues += 1
         self._issued_since_pop += 1
-        access_with, same_bank, base, extra_hop_cycles, load = \
-            self._peer(pe)
+        link = self.remote.link(pe)
         local = offset & LOCAL_ADDR_MASK
-        mem = access_with(local, off_page_cycles=15.0,
-                          same_bank_cycles=same_bank)
+        mem = link.access_with(local,
+                               self.remote.params.remote_off_page_cycles,
+                               link.same_bank)
         ready = (
             now
             + self.params.issue_cycles
             + self.params.round_trip_cycles
-            + (mem - base)                      # remote off-page penalty
-            + extra_hop_cycles
+            + (mem - link.access_cycles)        # remote off-page penalty
+            + self._extra_hops(link)
         )
-        self._fifo.append(_InFlight(ready_time=ready, value=load(local)))
+        self._fifo.append(_InFlight(ready_time=ready,
+                                    value=link.mem_load(local)))
         if _trace.TRACE_ENABLED:
             _trace.emit("prefetch_issue", t=now, pe=self.my_pe, target=pe,
                         offset=local, depth=len(self._fifo), ready=ready)

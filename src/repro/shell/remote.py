@@ -25,8 +25,6 @@ by :class:`repro.machine.machine.Machine`) providing ``hops(src, dst)``,
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as _np
 
 from repro.node import memsys as _memsys
@@ -41,6 +39,7 @@ from repro.params import (
     WORD_BYTES,
 )
 from repro.trace import tracer as _trace
+from repro.vector import kernels as _vk
 
 __all__ = ["AckRecord", "PeerLink", "RemoteAccessUnit", "make_inbound"]
 
@@ -148,6 +147,36 @@ def make_inbound(node, rparams: RemoteAccessParams):
     return on_retire, retire_run
 
 
+def _bounds(offsets) -> tuple[int, int]:
+    """The first and last of ``offsets`` (a ``range``), or the least
+    and greatest (an int64 numpy array)."""
+    if isinstance(offsets, range):
+        return offsets[0], offsets[-1]
+    return int(offsets.min()), int(offsets.max())
+
+
+def _as_array(addrs):
+    """``addrs`` (a ``range`` or a sequence of ints) as an int64 numpy
+    array."""
+    if isinstance(addrs, range):
+        return _np.arange(addrs.start, addrs.stop, addrs.step)
+    return _np.asarray(addrs, dtype=_np.int64)
+
+
+def _target_words(peer: "PeerLink", offsets):
+    """What reads of the target's words at ``offsets`` return, the way
+    :meth:`MemorySystem.plan_reads` gives its values: a
+    :class:`WordRun` for a ``range``; for an int64 array, one float64
+    gather when every word holds a float, else a list of the loads."""
+    memory = peer.node.memsys.memory
+    if isinstance(offsets, range):
+        return WordRun(memory, offsets.start, len(offsets))
+    values = memory.gather(offsets, "f8", written=True)
+    if values is None:
+        values = list(map(memory.load, offsets.tolist()))
+    return values
+
+
 class AckRecord:
     """An in-flight remote-write acknowledgement."""
 
@@ -237,26 +266,13 @@ class RemoteAccessUnit:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _peer(self, pe: int) -> PeerLink:
-        """Cached :class:`PeerLink` for the target processor."""
+    def link(self, pe: int) -> PeerLink:
+        """The :class:`PeerLink` of target processor ``pe``, built once
+        and shared by every remote read, store and prefetch to it."""
         link = self._peer_cache.get(pe)
         if link is None:
             link = self._peer_cache[pe] = PeerLink(self, pe)
         return link
-
-    def _flight(self, pe: int) -> float:
-        return self._peer(pe).flight
-
-    def _target_memory_cycles(self, pe: int, offset: int) -> float:
-        """A remote memory-controller access at the target node.
-
-        The off-page penalty through the remote controller is larger
-        than the local one (~15 vs ~9 cycles, section 4.2).
-        """
-        peer = self._peer(pe)
-        return peer.access_with(offset & LOCAL_ADDR_MASK,
-                                self.params.remote_off_page_cycles,
-                                peer.same_bank)
 
     # ------------------------------------------------------------------
     # Reads
@@ -265,7 +281,7 @@ class RemoteAccessUnit:
     def uncached_read(self, now: float, pe: int, offset: int):
         """Fetch one word from a remote node; returns (cycles, value)."""
         self.reads += 1
-        peer = self._peer(pe)
+        peer = self.link(pe)
         local = offset & LOCAL_ADDR_MASK
         cycles = (
             self.params.read_overhead_cycles
@@ -293,21 +309,24 @@ class RemoteAccessUnit:
             if snapshot is not None and word in snapshot:
                 return self.memsys.params.l1.hit_cycles, snapshot[word]
             # Locally-owned or snapshot-less line: fall back to memory.
-            return self.memsys.params.l1.hit_cycles, self.fabric.node(
-                pe).memsys.memory.load(offset & LOCAL_ADDR_MASK)
+            return self.memsys.params.l1.hit_cycles, self.link(
+                pe).mem_load(offset & LOCAL_ADDR_MASK)
 
         self.cached_reads += 1
+        peer = self.link(pe)
         cycles = (
             self.params.read_overhead_cycles
             + self.params.cached_line_extra_cycles
-            + 2 * self._flight(pe)
-            + self._target_memory_cycles(pe, offset)
+            + 2 * peer.flight
+            + peer.access_with(offset & LOCAL_ADDR_MASK,
+                               self.params.remote_off_page_cycles,
+                               peer.same_bank)
         )
         if _trace.TRACE_ENABLED:
             _trace.emit("remote_read_cached", t=now, pe=self.my_pe,
                         target=pe, offset=offset & LOCAL_ADDR_MASK,
                         cycles=cycles)
-        target_mem = self.fabric.node(pe).memsys.memory
+        target_mem = peer.node.memsys.memory
         line_full = l1.line_addr(full_addr)
         line_local = line_full & LOCAL_ADDR_MASK
         snapshot = {
@@ -327,7 +346,7 @@ class RemoteAccessUnit:
 
     def inbound(self, pe: int):
         """The retirement callback of stores into ``pe``."""
-        return self._peer(pe).on_retire
+        return self.link(pe).on_retire
 
     def _plan_target(self, pe: int, first: int, last: int):
         """Shared checks of a batched read of ``pe``'s words at offsets
@@ -335,29 +354,22 @@ class RemoteAccessUnit:
         if (_trace.TRACE_ENABLED or pe == self.my_pe
                 or first < 0 or last > LOCAL_ADDR_MASK):
             return None
-        return self._peer(pe)
+        return self.link(pe)
 
     def plan_uncached(self, pe: int, offsets) -> ReadPlan | None:
         """:meth:`uncached_read` of ``pe``'s words at each of
         ``offsets`` (a ``range`` of consecutive words, or an int64 numpy
         array) in turn, timed in one pass (the target's DRAM row events
         with the remote off-page penalty); None where that is not exact.
-        The values are a :class:`WordRun` for a range, else a float64
-        array (None unless every word holds a float)."""
+        The values are :func:`_target_words`."""
         n = len(offsets)
-        ranged = isinstance(offsets, range)
-        peer = n and self._plan_target(pe, *(
-            (offsets[0], offsets[-1]) if ranged
-            else (int(offsets.min()), int(offsets.max()))))
+        peer = n and self._plan_target(pe, *_bounds(offsets))
         if not peer or not on_grid(self.params.read_overhead_cycles) \
                 or not on_grid(peer.flight):
             return None
-        memory = peer.node.memsys.memory
-        values = (WordRun(memory, offsets.start, n) if ranged
-                  else memory.gather(offsets, "f8", written=True))
         planned = peer.dram.plan_access(
             offsets, self.params.remote_off_page_cycles, peer.same_bank)
-        if planned is None or values is None:
+        if planned is None:
             return None
         cycles, dram_commit = planned
         cycles += self.params.read_overhead_cycles + 2 * peer.flight
@@ -366,113 +378,150 @@ class RemoteAccessUnit:
             dram_commit()
             self.reads += n
 
-        return ReadPlan(cycles, values, commit,
+        return ReadPlan(cycles, _target_words(peer, offsets), commit,
                         (peer.on_retire, self.inbound(self.my_pe)))
 
-    def plan_cached(self, pe: int, offset: int, full_addr: int,
-                    nwords: int, flush_every: int | None):
-        """:meth:`cached_read` of the words at ``offset + 8 * i`` of
-        ``pe`` (full addresses ``full_addr + 8 * i``), invalidating the
-        current word's line with :meth:`invalidate_cached_line` after
-        every ``flush_every``-th word and the last (never, for None).
+    def plan_cached(self, pe: int, offsets, full_addrs,
+                    flush_every: int | None):
+        """:meth:`cached_read` of ``pe``'s word at each of ``offsets``
+        (full addresses ``full_addrs``: two ``range``s of consecutive
+        words, or two int64 numpy arrays) in turn, invalidating the
+        word's line with :meth:`invalidate_cached_line` after every
+        ``flush_every``-th read and the last (never, for None).
 
-        Returns ``(plan, tail)``: ``plan.cycles[i]`` is word ``i``'s read
-        plus the invalidation charged after word ``i - 1`` if any, and
-        ``tail`` the one after the last word.  The reads walk the
-        transfer a line run at a time: a run (consecutive words of one
-        line, up to an invalidation) looks its line up once and then
-        hits.  A run that hits on a line resident before the stream
-        reads that line's old snapshot; every other word reads the
-        target's memory, which nothing changes during the stream.  None
-        where that is not exact: outside a direct-mapped L1, or off the
-        exactness grid.
+        Returns ``(plan, tail)``: ``plan.cycles[k]`` is read ``k`` plus
+        the invalidation charged after read ``k - 1`` if any, and
+        ``tail`` the one after the last read.  A stable sort by L1 set
+        gives each read its set's previous access: the read hits iff
+        that access was to its own line with no invalidation after it
+        (for a set's first read, iff the line was resident before the
+        stream).  A hit reads the line's old snapshot iff every earlier
+        read of its set hit; every other read sees the target's memory,
+        which nothing changes during the stream.  The reads are sorted
+        a piece at a time (:func:`repro.vector.kernels.chunks`), each
+        piece's sets starting as the last left them.  None where that
+        is not exact: outside a direct-mapped L1, an offset whose local
+        bits differ from its full address's, or off the exactness grid.
         """
-        peer = self._plan_target(pe, offset,
-                                 offset + (nwords - 1) * WORD_BYTES)
+        n = len(offsets)
+        peer = n and self._plan_target(pe, *_bounds(offsets))
         l1 = self.memsys.l1
         p = self.params
         hit_cycles = self.memsys.params.l1.hit_cycles
         flush_cycles = self.memsys.params.l1.flush_line_cycles
-        if peer is None or l1._assoc != 1 or not all(on_grid(x) for x in (
+        if not peer or l1._assoc != 1 or not all(on_grid(x) for x in (
                 p.read_overhead_cycles, p.cached_line_extra_cycles,
-                hit_cycles, flush_cycles)):
+                hit_cycles, flush_cycles, peer.flight)):
             return None
-        values = WordRun(peer.node.memsys.memory, offset, nwords)
-        lb = l1._line_bytes
-        nsets = l1._num_sets
-        tags = dict(l1._tags)
-        snapshots = dict(self._line_snapshots)
-        miss_at = array("q")
-        flush_at = array("q")
-        hits = 0
-        i = 0
-        while i < nwords:
-            full = full_addr + i * WORD_BYTES
-            line = full - full % lb
-            end = min(nwords, i + (line + lb - full + WORD_BYTES - 1)
-                      // WORD_BYTES)
-            flushed = flush_every is not None and (
-                i // flush_every < end // flush_every or end == nwords)
-            if flushed:
-                end = min(end, (i // flush_every + 1) * flush_every)
-            index = (full // lb) % nsets
-            if tags.get(index) == line:
-                hits += end - i
-                old = snapshots.get(line)
-                if old is not None:
-                    for k in range(i, end):
-                        word = full + (k - i) * WORD_BYTES
-                        word -= word % WORD_BYTES
-                        if word in old:
-                            values.overrides[k] = old[word]
-            else:
-                hits += end - i - 1
-                miss_at.append(i)
-                evicted = tags.get(index)
-                if evicted is not None:
-                    snapshots.pop(evicted, None)
-                tags[index] = line
-                snapshots[line] = None          # built at commit
-            if flushed:
-                flush_at.append(end - 1)
-                snapshots.pop(line, None)
-                if tags.get(index) == line:
-                    del tags[index]
-            i = end
-        misses = _np.frombuffer(miss_at, dtype=_np.int64)
-        fills = len(miss_at)
-        planned = peer.dram.plan_access(
-            offset + WORD_BYTES * misses, p.remote_off_page_cycles,
-            peer.same_bank)
-        if planned is None or not on_grid(peer.flight):
+        lb, nsets = l1._line_bytes, l1._num_sets
+        tags = l1._tags
+        # Per set: its resident line (-1: none), whether no read of the
+        # stream has missed in it, and whether the stream touched it.
+        resident = _np.full(nsets, -1, dtype=_np.int64)
+        resident[list(tags)] = list(tags.values())
+        initial = resident.copy()
+        clean = _np.ones(nsets, dtype=bool)
+        touched = _np.zeros(nsets, dtype=bool)
+        snapshots = self._line_snapshots
+        keys = _np.fromiter(snapshots, dtype=_np.int64, count=len(snapshots))
+        seen = _np.zeros(len(keys), dtype=bool)     # read in the stream
+        hit = _np.empty(n, dtype=bool)
+        miss_offsets = []
+        old = {}
+        for (start, local), (_, full) in zip(_vk.chunks(offsets),
+                                             _vk.chunks(full_addrs)):
+            if ((local ^ full) & LOCAL_ADDR_MASK).any():
+                return None
+            m = len(full)
+            lines = full - full % lb
+            sets = full // lb % nsets
+            order = _np.argsort(sets.astype(_np.uint16) if nsets <= 1 << 16
+                                else sets, kind="stable")
+            set_s, line_s = sets[order], lines[order]
+            first = _np.ones(m, dtype=bool)
+            first[1:] = set_s[1:] != set_s[:-1]
+            last = _np.append(first[1:], True)
+            # The line each read leaves resident (-1: invalidated after).
+            after = line_s.copy()
+            if flush_every is not None:
+                k = start + order + 1
+                after[(k % flush_every == 0) | (k == n)] = -1
+            before = _np.empty(m, dtype=_np.int64)
+            before[1:] = after[:-1]
+            before[first] = resident[set_s[first]]
+            hit_s = before == line_s
+            index = _np.arange(m)
+            set_start = _np.maximum.accumulate(_np.where(first, index, 0))
+            last_miss = _np.maximum.accumulate(_np.where(hit_s, -1, index))
+            unmissed = (last_miss < set_start) & clean[set_s]
+            for k in order[hit_s & unmissed].tolist():
+                word = int(full[k]) & -WORD_BYTES
+                snap = snapshots.get(int(lines[k]))
+                if snap is not None and word in snap:
+                    old[start + k] = snap[word]
+            hit[start + order] = hit_s
+            miss_offsets.append(local[~hit[start:start + m]])
+            ends = set_s[last]
+            resident[ends] = after[last]
+            clean[ends] = unmissed[last]
+            touched[ends] = True
+            if len(keys):
+                ordered = _np.sort(lines)
+                where = _np.searchsorted(ordered, keys).clip(max=m - 1)
+                seen |= ordered[where] == keys
+        planned = peer.dram.plan_access(_np.concatenate(miss_offsets),
+                                        p.remote_off_page_cycles,
+                                        peer.same_bank)
+        if planned is None:
             return None
-        cycles = _np.full(nwords, hit_cycles, dtype=_np.float64)
+        misses = _np.flatnonzero(~hit)
+        cycles = _np.full(n, hit_cycles, dtype=_np.float64)
         cycles[misses] = (p.read_overhead_cycles + p.cached_line_extra_cycles
                           + 2 * peer.flight + planned[0])
-        # Each invalidation is charged before the next word's read.
-        flushes = _np.frombuffer(flush_at, dtype=_np.int64) + 1
-        cycles[flushes[flushes < nwords]] += flush_cycles
-        tail = flush_cycles if flush_at and flush_at[-1] == nwords - 1 \
-            else 0.0
-        target_load = peer.node.memsys.memory.load
+        tail = 0.0
+        if flush_every is not None:
+            # Each invalidation is charged before the next read.
+            cycles[flush_every::flush_every] += flush_cycles
+            tail = flush_cycles
+        values = _target_words(peer, offsets)
+        if old:
+            if isinstance(values, WordRun):
+                values.overrides.update(old)
+            else:
+                values = values if type(values) is list else values.tolist()
+                for k, value in old.items():
+                    values[k] = value
+        # Every line resident at some point of the stream loses its
+        # snapshot, unless it stayed resident on hits alone.
+        key_sets = keys // lb % nsets
+        gone = keys[seen | (touched[key_sets] & (keys == initial[key_sets]))]
+        sets = _np.flatnonzero(touched)
+        final = zip(sets.tolist(), resident[sets].tolist(),
+                    clean[sets].tolist())
+        nmisses = len(misses)
         line_words = lb // WORD_BYTES
+        target_load = peer.node.memsys.memory.load_range
 
         def commit():
             planned[1]()
-            l1._tags.clear()
-            l1._tags.update(tags)
-            l1.hits += hits
-            l1.misses += nwords - hits
-            self.cached_reads += fills
-            for line, snap in snapshots.items():
-                if snap is None:
-                    local = line & LOCAL_ADDR_MASK
-                    snapshots[line] = {
-                        line + k * WORD_BYTES: target_load(
-                            local + k * WORD_BYTES)
-                        for k in range(line_words)}
-            self._line_snapshots.clear()
-            self._line_snapshots.update(snapshots)
+            l1.hits += n - nmisses
+            l1.misses += nmisses
+            self.cached_reads += nmisses
+            kept = {}
+            for s, line, unchanged in final:
+                if line < 0:
+                    tags.pop(s, None)
+                    continue
+                tags[s] = line
+                if not unchanged:
+                    kept[line] = dict(zip(
+                        range(line, line + lb, WORD_BYTES),
+                        target_load(line & LOCAL_ADDR_MASK, line_words)))
+                elif line in snapshots:
+                    kept[line] = snapshots[line]
+            for line in gone.tolist():
+                del snapshots[line]
+            snapshots.update(kept)
 
         plan = ReadPlan(cycles, values, commit,
                         (peer.on_retire, self.inbound(self.my_pe)))
@@ -508,7 +557,7 @@ class RemoteAccessUnit:
                 pes = pes if isinstance(pes, int) else pes[done:]
                 n -= done
         pes = [pes] * n if isinstance(pes, int) else pes.tolist()
-        links = {pe: self._peer(pe) for pe in set(pes)}
+        links = {pe: self.link(pe) for pe in set(pes)}
         if self.my_pe in links:
             return None
         peers = list(map(links.__getitem__, pes))
@@ -560,13 +609,10 @@ class RemoteAccessUnit:
         if pe == self.my_pe or type(source) is not BlockingSource:
             return None
         mask = LOCAL_ADDR_MASK
-        local, full = (
-            _np.arange(x.start, x.stop, x.step) if isinstance(x, range)
-            else _np.asarray(x, dtype=_np.int64)
-            for x in (offsets, full_addrs))
+        local, full = map(_as_array, (offsets, full_addrs))
         if ((local ^ full) & mask).any():
             return None
-        link = self._peer(pe)
+        link = self.link(pe)
         wb = self.memsys.write_buffer
         cap = wb._capacity
         p = self.params
@@ -637,7 +683,7 @@ class RemoteAccessUnit:
         # The drain rate feels the target memory controller: a store
         # stream that misses the remote DRAM page on every line (16 KB
         # strides) backs the pipeline up — Figure 7's inflection.
-        peer = self._peer(pe)
+        peer = self.link(pe)
         drain = self.params.store_drain_cycles + (
             peer.peek_access_with(
                 offset & LOCAL_ADDR_MASK,

@@ -146,9 +146,11 @@ def _bulk_read_cached_batched(sc, dst_offset: int, src: GlobalPtr,
     """The cached-read loop as one planned read and one store stream:
     each line flush is charged before the next word's read."""
     ctx = sc.ctx
+    full = sc._full_addr(index, src.addr)
+    span = nwords * WORD_BYTES
     planned = ctx.node.remote.plan_cached(
-        src.pe, src.addr, sc._full_addr(index, src.addr), nwords,
-        flush_every)
+        src.pe, range(src.addr, src.addr + span, WORD_BYTES),
+        range(full, full + span, WORD_BYTES), flush_every)
     if planned is None:
         return False
     plan, tail = planned

@@ -179,9 +179,11 @@ class SplitC:
     def plan_reads(self, pes, addrs) -> ReadPlan | None:
         """:meth:`read_from` of ``addrs[k]`` on remote ``pes[k]`` (int64
         numpy arrays) in turn, timed ahead: each read's cycles (Annex
-        set-up, uncached read, Split-C extra), its value (float64) and a
+        set-up, uncached read, Split-C extra), its value and a
         ``commit()`` that leaves the targets' DRAM, the remote unit, the
-        Annex and the op stats as the reads would.  None under span
+        Annex and the op stats as the reads would.  The values are
+        float64, or an object array of the exact loads where a target's
+        words are not all floats.  None under span
         tracing, the cached read mechanism, an Annex policy other than
         :class:`SingleAnnexPolicy`, or a declined
         :meth:`RemoteAccessUnit.plan_uncached`."""
@@ -203,8 +205,14 @@ class SplitC:
             if plan is None:
                 return None
             cycles[reads] = plan.cycles
-            values[reads] = plan.values
             commits.append(plan.commit)
+            if isinstance(plan.values, np.ndarray):
+                values[reads] = plan.values
+                continue
+            if values.dtype != object:
+                values = values.astype(object)
+            for k, value in zip(reads.tolist(), plan.values):
+                values[k] = value
         annex_cycles, annex_commit = self.annex_policy.plan(node.annex, pes)
         cycles += annex_cycles + extra
 

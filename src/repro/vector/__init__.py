@@ -1,7 +1,8 @@
 """The vectorized compute tier: numpy structure-of-arrays probe kernels.
 
-The probe and figure hot loops have **two** compute tiers, selected per
-point and always bit-identical:
+The local-memory probes (Figures 1 and 2, and the streaming point of
+section 2.2, one cold pass of Figure 1's probe) have **two** compute
+tiers, selected per point and always bit-identical:
 
 1. **reference** — the per-access loop in
    :func:`repro.microbench.harness.run_stride_point`, one simulated
@@ -31,6 +32,10 @@ the harness catches it and runs the reference loop for that point.
 :data:`CLAIMED_FAMILIES` records, per probe family, whether the tier
 claims it at all; the unclaimed families are claimed *not to be
 claimed* by ``tests/vector/test_fallback.py``.
+
+Remote reads (Figure 4) have no kernel here: their probe times each
+point as one plan of the shell's own remote-read model
+(:func:`repro.microbench.probes.remote_read_probe`).
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ __all__ = [
     "UnsupportedStimulus",
     "claims",
     "enabled",
-    "streaming_read_total",
     "stride_sweep_fn",
 ]
 
@@ -74,8 +78,6 @@ class UnsupportedStimulus(Exception):
 CLAIMED_FAMILIES = {
     "local_read": True,
     "local_write": True,
-    "remote_read": True,
-    "streaming_bandwidth": True,
     "remote_write": False,
     "nonblocking_write": False,
     "bulk_transfer": False,
@@ -111,18 +113,5 @@ def stride_sweep_fn(family: str, **geometry):
     from repro.vector import sweeps
     try:
         return sweeps.build(family, **geometry)
-    except UnsupportedStimulus:
-        return None
-
-
-def streaming_read_total(node_params, nbytes: int):
-    """Total read cycles of the sequential streaming-bandwidth stimulus
-    (one pass, word stride, cold machine), or ``None`` when the point
-    must run its reference loop."""
-    if not enabled() or not claims("streaming_bandwidth"):
-        return None
-    from repro.vector import sweeps
-    try:
-        return sweeps.streaming_read_total(node_params, nbytes)
     except UnsupportedStimulus:
         return None

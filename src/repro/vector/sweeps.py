@@ -1,7 +1,7 @@
 """Per-family batched sweep builders for the vectorized tier.
 
-:func:`build` turns probe geometry (frozen parameter objects, a
-machine, a mechanism name) into a ``sweep_fn`` with the harness
+:func:`build` turns probe geometry (a node's frozen parameter
+object) into a ``sweep_fn`` with the harness
 contract ``(base, stride, count, warmup_passes, measure_passes) ->
 (total_cycles, measured_accesses)``.  Builders validate the geometry
 once (anything the kernels cannot express raises
@@ -27,12 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.node.exact import on_grid
-from repro.params import (
-    LOCAL_ADDR_MASK,
-    MachineParams,
-    NodeParams,
-    WORD_BYTES,
-)
+from repro.params import LOCAL_ADDR_MASK, NodeParams
 from repro.vector import UnsupportedStimulus
 from repro.vector.kernels import (
     direct_mapped_hit_mask,
@@ -42,7 +37,7 @@ from repro.vector.kernels import (
     validate_point,
 )
 
-__all__ = ["build", "streaming_read_total"]
+__all__ = ["build"]
 
 
 def build(family: str, **geometry):
@@ -420,130 +415,7 @@ def _write_passes_generic(lines_np, npasses, count, warmup_passes,
     return total
 
 
-# ----------------------------------------------------------------------
-# remote_read (Figure 4)
-# ----------------------------------------------------------------------
-
-def _build_remote_read(*, machine, mechanism: str, splitc=None):
-    """Remote reads from node 0 to node 1, the probe's fixed pairing
-    (:func:`repro.microbench.probes.remote_read_probe`)."""
-    params: MachineParams = machine.params
-    if machine.num_nodes < 2:
-        raise UnsupportedStimulus("remote probe needs two nodes")
-    _check_node_geometry(params.node)
-    remote = params.shell.remote
-    dram = params.node.dram
-    flight = machine.hops(0, 1) * params.network.hop_cycles
-    _require_grid(remote.remote_off_page_cycles, remote.read_overhead_cycles,
-                  flight)
-
-    def _target_dram_costs(addrs: np.ndarray) -> np.ndarray:
-        """Twin of ``RemoteAccessUnit._target_memory_cycles``: the
-        target's memory controller with the larger remote off-page
-        penalty (and the target's own same-bank penalty)."""
-        return dram_cost_stream(
-            addrs & LOCAL_ADDR_MASK,
-            interleave=dram.bank_interleave_bytes, banks=dram.banks,
-            page_bytes=dram.page_bytes, access_cycles=dram.access_cycles,
-            off_page_cycles=remote.remote_off_page_cycles,
-            same_bank_cycles=dram.same_bank_cycles)
-
-    if mechanism == "uncached":
-        base_cost = remote.read_overhead_cycles + 2 * flight
-        _require_grid(base_cost)
-
-        def sweep(base, stride, count, warmup_passes, measure_passes):
-            validate_point(base, stride, count, warmup_passes,
-                           measure_passes)
-            npasses = warmup_passes + measure_passes
-            addrs = sawtooth_addresses(base, stride, count, npasses)
-            costs = _target_dram_costs(addrs)
-            costs += base_cost
-            total = float(costs[warmup_passes * count:].sum())
-            return total, count * measure_passes
-
-        return sweep
-
-    if mechanism == "splitc":
-        # The Split-C read is annex setup + uncached read + fixed extra
-        # (SplitC.read_from).  That decomposition only holds for the
-        # default compile plan: an uncached read mechanism and a single
-        # conservatively-reloaded annex register, whose setup charges
-        # the full update cost on every access.
-        from repro.splitc.annex_policy import SingleAnnexPolicy
-        if splitc is None:
-            raise UnsupportedStimulus("splitc mechanism without a runtime")
-        if splitc.plan.read_mechanism != "uncached":
-            raise UnsupportedStimulus(
-                f"splitc plan reads via {splitc.plan.read_mechanism!r}")
-        policy = splitc.annex_policy
-        if not isinstance(policy, SingleAnnexPolicy) \
-                or policy.skip_when_unchanged:
-            raise UnsupportedStimulus("non-default annex policy")
-        base_cost = (params.shell.annex.update_cycles
-                     + remote.read_overhead_cycles + 2 * flight
-                     + remote.splitc_read_extra_cycles)
-        _require_grid(params.shell.annex.update_cycles,
-                      remote.splitc_read_extra_cycles, base_cost)
-
-        def sweep(base, stride, count, warmup_passes, measure_passes):
-            validate_point(base, stride, count, warmup_passes,
-                           measure_passes)
-            npasses = warmup_passes + measure_passes
-            addrs = sawtooth_addresses(base, stride, count, npasses)
-            costs = _target_dram_costs(addrs)
-            costs += base_cost
-            total = float(costs[warmup_passes * count:].sum())
-            return total, count * measure_passes
-
-        return sweep
-
-    if mechanism == "cached":
-        l1 = params.node.l1
-        annex_bit = np.int64(1) << 32    # compose_address(1, offset)
-        base_cost = (remote.read_overhead_cycles
-                     + remote.cached_line_extra_cycles + 2 * flight)
-        _require_grid(remote.cached_line_extra_cycles, base_cost)
-
-        def sweep(base, stride, count, warmup_passes, measure_passes):
-            validate_point(base, stride, count, warmup_passes,
-                           measure_passes)
-            if base + (count - 1) * stride > LOCAL_ADDR_MASK:
-                # compose_address would reject the offset; let the
-                # reference path produce the identical error.
-                raise UnsupportedStimulus("offset outside segment reach")
-            npasses = warmup_passes + measure_passes
-            addrs = sawtooth_addresses(base, stride, count, npasses)
-            full = addrs | annex_bit
-            hits = direct_mapped_hit_mask(full, l1.line_bytes, l1.num_sets)
-            costs = np.full(len(addrs), l1.hit_cycles, dtype=np.float64)
-            costs[~hits] = base_cost + _target_dram_costs(addrs[~hits])
-            total = float(costs[warmup_passes * count:].sum())
-            return total, count * measure_passes
-
-        return sweep
-
-    raise UnsupportedStimulus(f"unknown read mechanism {mechanism!r}")
-
-
-# ----------------------------------------------------------------------
-# streaming_bandwidth (Table 10)
-# ----------------------------------------------------------------------
-
-def streaming_read_total(node_params: NodeParams, nbytes: int) -> float:
-    """Total cycles of the sequential streaming-read stimulus: one
-    cold pass of word-stride reads over ``nbytes``
-    (:func:`repro.microbench.probes.streaming_bandwidth_probe`)."""
-    _check_node_geometry(node_params)
-    if nbytes < WORD_BYTES:
-        raise UnsupportedStimulus("stream shorter than one word")
-    addrs = np.arange(0, nbytes, WORD_BYTES, dtype=np.int64)
-    costs = _local_read_costs(node_params, addrs, 1)
-    return float(costs.sum())
-
-
 _BUILDERS = {
     "local_read": _build_local_read,
     "local_write": _build_local_write,
-    "remote_read": _build_remote_read,
 }

@@ -1,9 +1,11 @@
 """Unit tests for the binding prefetch queue (paper section 5.2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.machine.machine import Machine
-from repro.params import t3d_machine_params
+from repro.params import WORD_BYTES, t3d_machine_params
 from repro.shell.prefetch import QueueFullError
 
 
@@ -103,3 +105,36 @@ def test_extra_hops_extend_round_trip():
     t = pf.issue(0.0, 2, 8)              # two hops instead of one
     cycles, _ = pf.pop(t)
     assert t + cycles == pytest.approx(4.0 + 80.0 + 2 * 2.5 + 23.0)
+
+
+@pytest.mark.parametrize("off_page", [15.0, 30.0])
+def test_prefetch_pays_the_machines_remote_off_page_penalty(off_page):
+    """A word in a new row of the open bank costs a prefetch what it
+    costs an uncached read: the machine's ``remote_off_page_cycles``
+    plus the same-bank penalty, on the issue path and in a planned
+    read alike."""
+    params = t3d_machine_params((2, 1, 1))
+    params = replace(params, shell=replace(params.shell, remote=replace(
+        params.shell.remote, remote_off_page_cycles=off_page)))
+    penalty = off_page + params.node.dram.same_bank_cycles
+    far = 64 * 1024                      # same bank, new row
+
+    def fresh():
+        machine = Machine(params)
+        warm(machine, 0)
+        return machine
+
+    unit = fresh().node(0).remote
+    near, _ = unit.uncached_read(0.0, 1, 8)
+    cycles, _ = unit.uncached_read(1_000.0, 1, far)
+    assert cycles - near == penalty
+
+    pf = fresh().node(0).prefetch
+    t = pf.issue(0.0, 1, far)
+    cycles, _ = pf.pop(t)
+    assert t + cycles == 4.0 + 80.0 + penalty + 23.0
+
+    pf = fresh().node(0).prefetch
+    words = range(far, far + 16 * WORD_BYTES, WORD_BYTES)
+    _clock, source, _plan = pf.plan_read(0.0, 1, words, 0.0)
+    assert source.latency[:2].tolist() == [4.0 + 80.0 + penalty, 4.0 + 80.0]

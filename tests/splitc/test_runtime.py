@@ -246,3 +246,21 @@ def test_run_splitc_propagates_plan(machine):
     results, runtimes = run_splitc(machine, program, plan=plan)
     assert all(results)
     assert all(sc.annex_policy.skip_when_unchanged for sc in runtimes)
+
+
+def test_planned_reads_return_words_of_any_type(machine):
+    """``plan_reads`` times reads of words that are not floats too,
+    and returns exactly what the per-read loop reads."""
+    import numpy as np
+
+    memory = machine.node(1).memsys.memory
+    memory.store(0x100, 2.5)
+    memory.store(0x108, "w")
+    memory.store(0x110, 7)          # 0x118 is never written
+    addrs = np.array([0x108, 0x100, 0x118, 0x110, 0x108], dtype=np.int64)
+    want = [single_thread(machine).read_from(1, a) for a in addrs.tolist()]
+    plan = single_thread(machine).plan_reads(
+        np.ones(len(addrs), dtype=np.int64), addrs)
+    assert plan is not None
+    assert [(type(v), v) for v in plan.values] == \
+        [(type(v), v) for v in want]

@@ -18,6 +18,7 @@ from repro.apps.em3d import kernels
 from repro.apps.em3d.graph import make_graph
 from repro.machine.cohort import cohort_enabled
 from repro.machine.machine import Machine
+from repro.microbench import probes
 from repro.params import WORD_BYTES, t3d_machine_params
 from repro.shell.remote import RemoteAccessUnit
 from repro.splitc import bulk
@@ -83,6 +84,22 @@ def test_bulk_transfer_takes_reference_branch(monkeypatch):
         bulk.bulk_read_uncached(_pair_runtime(), 0x6000, GlobalPtr(1, 0),
                                 nwords * WORD_BYTES)
     assert (len(planned), len(per_word)) == (1, nwords)
+
+
+def test_remote_read_probe_takes_reference_branch(monkeypatch):
+    planned = _count_calls(monkeypatch, RemoteAccessUnit, "plan_uncached")
+    per_read = _count_calls(monkeypatch, RemoteAccessUnit, "uncached_read")
+
+    def run():
+        probes.remote_read_probe(Machine(t3d_machine_params((2, 1, 1))),
+                                 sizes=[4096], memo_key=None)
+
+    run()
+    assert planned and not per_read
+    del planned[:]
+    with tiers.reference():
+        run()
+    assert per_read and not planned
 
 
 def test_em3d_compute_block_takes_reference_branch(monkeypatch):

@@ -35,6 +35,7 @@ from repro.params import (
     t3d_node_params,
     workstation_node_params,
 )
+from repro.splitc import runtime
 
 KB = 1024
 
@@ -79,11 +80,38 @@ def test_local_write_three_tiers_identical(make_memsys):
     assert _points(vec) == _points(ref)
 
 
-@pytest.mark.parametrize("mechanism", ["uncached", "cached", "splitc"])
-def test_remote_read_three_tiers_identical(mechanism):
+def _remote_off_page_30():
+    params = t3d_machine_params((2, 1, 1))
+    return Machine(replace(params, shell=replace(params.shell, remote=replace(
+        params.shell.remote, remote_off_page_cycles=30.0))))
+
+
+def _t3d_pair():
+    return Machine(t3d_machine_params((2, 1, 1)))
+
+
+@pytest.mark.parametrize("mechanism, make_machine, skip_unchanged", [
+    ("uncached", _t3d_pair, False),
+    ("cached", _t3d_pair, False),
+    ("splitc", _t3d_pair, False),
+    ("uncached", _remote_off_page_30, False),
+    ("cached", _remote_off_page_30, False),
+    ("splitc", _remote_off_page_30, False),
+    ("splitc", _t3d_pair, True),
+], ids=["uncached", "cached", "splitc", "uncached-off-page-30",
+        "cached-off-page-30", "splitc-off-page-30", "splitc-skip-unchanged"])
+def test_remote_read_three_tiers_identical(monkeypatch, mechanism,
+                                           make_machine, skip_unchanged):
+    """The planned sweep equals the per-read loop, also on a machine
+    whose remote off-page penalty is not the preset's, and for Split-C
+    reads under an Annex policy that skips unchanged reloads
+    (``SingleAnnexPolicy(skip_when_unchanged=True)``)."""
+    if skip_unchanged:
+        plan = replace(runtime.default_plan(), annex_skip_when_unchanged=True)
+        monkeypatch.setattr(runtime, "default_plan", lambda: plan)
+
     def run():
-        machine = Machine(t3d_machine_params((2, 1, 1)))
-        return probes.remote_read_probe(machine, mechanism=mechanism,
+        return probes.remote_read_probe(make_machine(), mechanism=mechanism,
                                         sizes=[16 * KB, 64 * KB],
                                         memo_key=None)
 

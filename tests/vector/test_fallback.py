@@ -30,12 +30,13 @@ def test_claimed_families_pinned():
     """The per-family claim decisions are part of the tier's contract:
     the unclaimed families couple timing to observable machine state or
     data-dependent control flow (see the table's docstring), so a
-    change here needs a matching exactness argument."""
+    change here needs a matching exactness argument.  Remote reads are
+    not a family here: their probe times each point as one plan of the
+    shell's remote-read model, and the streaming probe is one
+    ``local_read`` point."""
     assert vector.CLAIMED_FAMILIES == {
         "local_read": True,
         "local_write": True,
-        "remote_read": True,
-        "streaming_bandwidth": True,
         "remote_write": False,
         "nonblocking_write": False,
         "bulk_transfer": False,
@@ -59,7 +60,6 @@ def test_env_disables_tier(monkeypatch, value):
     ms = t3d_memory_system()
     assert vector.stride_sweep_fn("local_read",
                                   node_params=ms.params) is None
-    assert vector.streaming_read_total(ms.params, 4096) is None
 
 
 def test_env_enabled_by_default():
