@@ -36,6 +36,6 @@ Quick start::
 See README.md, DESIGN.md, docs/ and EXPERIMENTS.md.
 """
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = ["__version__"]

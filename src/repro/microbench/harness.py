@@ -20,8 +20,9 @@ array.
 
 Two fast paths keep the sweeps cheap without changing a single number:
 
-* ``sweep_fn`` — a batched runner for one (size, stride) point (the
-  vectorized tier, :func:`repro.vector.stride_sweep_fn`) that is
+* ``sweep_fn`` — a batched runner for one (size, stride) point (a
+  read plan of the node or the shell, or the vectorized tier,
+  :func:`repro.vector.stride_sweep_fn`) that is
   exactly equivalent to the per-access loop; the golden-equivalence
   suites (``tests/test_fastpath_equivalence.py``,
   ``tests/test_vector_equivalence.py``) assert identity.

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.machine.machine import Machine
-from repro.microbench.harness import LatencyCurves, run_stride_probe
+from repro.microbench.harness import (
+    LatencyCurves,
+    PointSpec,
+    run_stride_point,
+    run_stride_probe,
+)
 from repro.node.memsys import MemorySystem
 from repro.params import CYCLE_NS, WORD_BYTES, mb_per_s
 from repro.splitc import bulk
@@ -49,18 +54,47 @@ KB = 1024
 def local_read_probe(memsys: MemorySystem, **kwargs) -> LatencyCurves:
     """Figure 1: average read latency vs (array size, stride).
 
-    Runs each point through the vectorized tier
-    (:func:`repro.vector.stride_sweep_fn`, exactly equivalent to the
-    per-access loop) when it is on and claims the point, else the
-    reference loop, and memoizes points by the machine's parameters;
-    pass ``sweep_fn=None`` / ``memo_key=None`` to force the reference
-    per-access path.
+    While the fast paths are on, each point's reads are one plan of the
+    node's own read model (:func:`_local_read_sweep`); the reference
+    loop runs a point the plan declines.  Points are memoized by the
+    machine's parameters; pass ``sweep_fn=None`` / ``memo_key=None`` to
+    force the reference per-access path.
     """
-    kwargs.setdefault("sweep_fn", _vector.stride_sweep_fn(
-        "local_read", node_params=memsys.params))
+    kwargs.setdefault("sweep_fn", _local_read_sweep(memsys))
     kwargs.setdefault("memo_key", ("local_read", memsys.params))
     return run_stride_probe(
         memsys.read_cycles, reset_fn=memsys.reset, **kwargs)
+
+
+def _local_read_sweep(memsys: MemorySystem):
+    """:func:`_planned_sweep` of the node's own read plan
+    (:meth:`~repro.node.memsys.MemorySystem.plan_read_cycles`), or None
+    with the fast paths off."""
+    if not _vector.enabled():
+        return None
+    return _planned_sweep(memsys.plan_read_cycles, "local")
+
+
+def _planned_sweep(plan, what: str):
+    """A ``sweep_fn`` that times a whole point's reads as one plan:
+    ``plan(addrs)`` of the point's sawtooth stream returns ``(cycles,
+    commit)``, or None, and the point then raises
+    :class:`~repro.vector.UnsupportedStimulus`.  The point commits its
+    plan, so it leaves the machine as its reference loop does."""
+    from repro.vector.kernels import sawtooth_addresses, validate_point
+
+    def sweep(base, stride, count, warmup_passes, measure_passes):
+        validate_point(base, stride, count, warmup_passes, measure_passes)
+        planned = plan(sawtooth_addresses(base, stride, count,
+                                          warmup_passes + measure_passes))
+        if planned is None:
+            raise _vector.UnsupportedStimulus(f"{what} read plan declined")
+        cycles, commit = planned
+        commit()
+        total = float(cycles[warmup_passes * count:].sum())
+        return total, count * measure_passes
+
+    return sweep
 
 
 def local_write_probe(memsys: MemorySystem, **kwargs) -> LatencyCurves:
@@ -135,46 +169,33 @@ def remote_read_probe(machine: Machine | None = None,
 
 
 def _remote_read_sweep(node0, sc: SplitC, mechanism: str):
-    """A ``sweep_fn`` that times a whole point's reads from node 0 of
-    node 1's words as one plan, or None with the fast paths off:
+    """:func:`_planned_sweep` of node 0's reads of node 1's words, or
+    None with the fast paths off:
     :meth:`~repro.shell.remote.RemoteAccessUnit.plan_uncached`,
-    :meth:`SplitC.plan_reads`, or
+    :meth:`SplitC.plan_reads` (which also leaves the runtime's clock
+    where the loop does), or
     :meth:`~repro.shell.remote.RemoteAccessUnit.plan_cached` of the
-    addresses through Annex entry 1.  The point commits its plan, so
-    it leaves the machine as its reference loop does; a plan that
-    declines raises :class:`~repro.vector.UnsupportedStimulus`."""
+    addresses through Annex entry 1."""
     if not _vector.enabled():
         return None
     import numpy as np
-
-    from repro.vector.kernels import sawtooth_addresses, validate_point
 
     remote = node0.remote
     annex_bit = node0.annex.compose_address(1, 0)
 
     def plan(addrs):
         if mechanism == "uncached":
-            return remote.plan_uncached(1, addrs)
-        if mechanism == "splitc":
-            return sc.plan_reads(np.ones(len(addrs), dtype=np.int64), addrs)
-        planned = remote.plan_cached(1, addrs, addrs | annex_bit, None)
-        return planned and planned[0]
+            reads = remote.plan_uncached(1, addrs)
+        elif mechanism == "splitc":
+            reads = sc.plan_reads(np.ones(len(addrs), dtype=np.int64), addrs)
+            if reads is not None:
+                sc.ctx.clock = float(reads.cycles.sum())
+        else:
+            reads = remote.plan_cached(1, addrs, addrs | annex_bit, None)
+            reads = reads and reads[0]
+        return None if reads is None else (reads.cycles, reads.commit)
 
-    def sweep(base, stride, count, warmup_passes, measure_passes):
-        validate_point(base, stride, count, warmup_passes, measure_passes)
-        addrs = sawtooth_addresses(base, stride, count,
-                                   warmup_passes + measure_passes)
-        reads = plan(addrs)
-        if reads is None:
-            raise _vector.UnsupportedStimulus(
-                f"{mechanism} read plan declined")
-        reads.commit()
-        if mechanism == "splitc":
-            sc.ctx.clock = float(reads.cycles.sum())
-        total = float(reads.cycles[warmup_passes * count:].sum())
-        return total, count * measure_passes
-
-    return sweep
+    return _planned_sweep(plan, mechanism)
 
 
 def remote_write_probe(machine: Machine | None = None,
@@ -515,27 +536,14 @@ def streaming_bandwidth_probe(memsys: MemorySystem,
     """Section 2.2: sequential-read bandwidth out of main memory.
 
     The stimulus is one cold pass of word-stride reads: Figure 1's
-    stride probe at a single point, which the vectorized tier's
-    ``local_read`` sweep computes (bit-identical) when it is on and
-    claims it; the reference loop runs otherwise.
+    stride probe at a single point, planned like its points
+    (:func:`_local_read_sweep`).
     """
-    memsys.reset()
-    addrs = range(0, nbytes, WORD_BYTES)
-    sweep = _vector.stride_sweep_fn("local_read", node_params=memsys.params)
-    total = None
-    if sweep is not None:
-        try:
-            total, _ = sweep(0, WORD_BYTES, len(addrs), 0, 1)
-        except _vector.UnsupportedStimulus:
-            pass
-    if total is None:
-        now = 0.0
-        total = 0.0
-        for addr in addrs:
-            cycles = memsys.read_cycles(now, addr)
-            total += cycles
-            now += cycles
-    return mb_per_s(nbytes, total)
+    spec = PointSpec(nbytes, WORD_BYTES, nbytes // WORD_BYTES)
+    point = run_stride_point(
+        memsys.read_cycles, spec, warmup_passes=0, measure_passes=1,
+        reset_fn=memsys.reset, sweep_fn=_local_read_sweep(memsys))
+    return mb_per_s(nbytes, point.avg_cycles * point.accesses)
 
 
 def measure_headlines(machine: Machine | None = None) -> dict:

@@ -79,10 +79,6 @@ class Dram:
             addr % p.bank_interleave_bytes
         )
 
-    def row_of(self, addr: int) -> int:
-        """DRAM row index an address maps to within its bank."""
-        return self.within_bank_offset(addr) // self.params.page_bytes
-
     def access(self, addr: int) -> float:
         """Perform one access; return its latency in cycles.
 

@@ -320,7 +320,7 @@ class MemorySystem:
                 and (row_extra is None or array_on_grid(row_extra))):
             return None
 
-        hits, l1_commit = self._plan_l1(loads)
+        hits, l1_commit = _plan_cache(self.l1, loads)
         # The DRAM sees, in program order, each row's L1-missing loads
         # then its store's line.
         load_pos = _np.arange(nloads) + _np.repeat(_np.arange(nrows), counts)
@@ -330,9 +330,7 @@ class MemorySystem:
         seq[store_pos] = lines & mask
         to_dram = _np.ones(nloads + nrows, dtype=bool)
         to_dram[load_pos[hits]] = False
-        dp = self.dram.params
-        planned = self.dram.plan_access(seq[to_dram], dp.off_page_cycles,
-                                        dp.same_bank_cycles)
+        planned = self._plan_dram(seq[to_dram])
         if planned is None:
             return None
         dram_costs, dram_commit = planned
@@ -355,32 +353,47 @@ class MemorySystem:
         dram_commit()
         return BlockPlan(load_cycles, end)
 
-    def _plan_l1(self, addrs):
-        """Direct-mapped L1 hit mask of read-allocating accesses to
-        ``addrs`` (an int64 numpy array or a ``range``) from the current
-        tags; returns ``(hits, commit)``, and nothing changes until
-        ``commit()``."""
-        l1 = self.l1
-        lb = l1._line_bytes
-        tags = l1._tags
-        resident = _np.full(l1._num_sets, -1, dtype=_np.int64)
-        resident[_np.fromiter(tags, _np.int64, len(tags))] = _np.fromiter(
-            tags.values(), _np.int64, len(tags)) // lb
-        before = resident.copy()
-        hits = _np.empty(len(addrs), dtype=bool)
-        for start, piece in _vk.chunks(addrs):
-            hits[start:start + len(piece)] = _vk.direct_mapped_hit_mask(
-                piece, lb, l1._num_sets, resident)
+    def plan_read_cycles(self, addrs):
+        """:meth:`read_cycles` of each of ``addrs`` (an int64 numpy
+        array or a ``range``), batched: the TLB, the L1, the L2 over the
+        L1's misses, then the DRAM over the rest.  Returns ``(cycles,
+        commit)``, or None for a set-associative cache or a cost off the
+        exactness grid; nothing changes until ``commit()`` leaves every
+        unit as the per-access loop does."""
+        p, l2 = self.params, self.l2
+        if (self.l1._assoc != 1 or not on_grid(p.l1.hit_cycles)
+                or l2 is not None and (l2._assoc != 1
+                                       or not on_grid(p.l2.hit_cycles))):
+            return None
+        planned = self.tlb.plan_translate(addrs)
+        if planned is None:
+            return None
+        tlb_misses, tlb_commit = planned
+        hits, l1_commit = _plan_cache(self.l1, addrs)
+        commits = [tlb_commit, l1_commit]
+        cycles = _np.where(hits, p.l1.hit_cycles, 0.0)
+        # The positions and addresses of the L1's misses.
+        reach = _np.flatnonzero(~hits)
+        rest = (addrs.start + addrs.step * reach
+                if isinstance(addrs, range) else addrs[reach])
+        if l2 is not None:
+            hits, l2_commit = _plan_cache(l2, rest)
+            commits.append(l2_commit)
+            cycles[reach[hits]] = p.l2.hit_cycles
+            reach, rest = reach[~hits], rest[~hits]
+        planned = self._plan_dram(rest)
+        if planned is None:
+            return None
+        commits.append(planned[1])
+        cycles[reach] = planned[0]
+        if tlb_misses:
+            cycles[tlb_misses] += p.tlb.miss_cycles
 
         def commit():
-            changed = _np.flatnonzero(resident != before)
-            tags.update(zip(changed.tolist(),
-                            (resident[changed] * lb).tolist()))
-            nhits = int(hits.sum())
-            l1.hits += nhits
-            l1.misses += len(hits) - nhits
+            for unit_commit in commits:
+                unit_commit()
 
-        return hits, commit
+        return cycles, commit
 
     def plan_reads(self, addrs) -> ReadPlan | None:
         """Time :meth:`read` of each of ``addrs`` (a ``range`` of
@@ -391,8 +404,8 @@ class MemorySystem:
         Each value is the youngest pending write-buffer store to its
         word, else memory: flushing during the stream only moves such a
         value into memory.  The values are a :class:`WordRun` for a
-        range, else a list.  Declines while tracing, outside the
-        direct-mapped, L2-less, never-missing-TLB shape, for words
+        range, else a list.  The cycles are :meth:`plan_read_cycles`'s.
+        Declines while tracing, where that plan declines, for words
         beyond the local offset range, and when a pending store could be
         seen differently over time: a local store to a synonym (an
         Annex-bearing address) of a read word.
@@ -400,7 +413,7 @@ class MemorySystem:
         mask = LOCAL_ADDR_MASK
         n = len(addrs)
         ranged = isinstance(addrs, range)
-        if _trace.TRACE_ENABLED or not self._fast_read or not n:
+        if _trace.TRACE_ENABLED or not n:
             return None
         lo, hi = ((addrs[0], addrs[-1]) if ranged
                   else (int(addrs.min()), int(addrs.max())))
@@ -419,22 +432,10 @@ class MemorySystem:
                     # Forwarded but never committed here, or a synonym
                     # whose retirement changes what the word reads.
                     return None
-        hits, l1_commit = self._plan_l1(addrs)
-        misses = _np.flatnonzero(~hits)
-        dp = self.dram.params
-        planned = self.dram.plan_access(
-            lo + WORD_BYTES * misses if ranged else addrs[misses],
-            dp.off_page_cycles, dp.same_bank_cycles)
-        hit_cycles = self.params.l1.hit_cycles
-        if planned is None or not on_grid(hit_cycles):
+        planned = self.plan_read_cycles(addrs)
+        if planned is None:
             return None
-        cycles = _np.full(n, hit_cycles, dtype=_np.float64)
-        cycles[misses] = planned[0]
-
-        def commit():
-            l1_commit()
-            planned[1]()
-
+        cycles, commit = planned
         # Memory changes during the stream only where a pending store
         # retires, and the overlay holds its value there already.
         if ranged:
@@ -467,7 +468,7 @@ class MemorySystem:
         line_bytes = wb.line_bytes
         mask = LOCAL_ADDR_MASK
         if len(addrs) >= _MIN_CLOSED_STORES:
-            closed = wb.stream_closed(now, addrs, values, self._plan_drains,
+            closed = wb.stream_closed(now, addrs, values, self._plan_dram,
                                       source)
             if closed is not None:
                 done, now, source = closed
@@ -483,11 +484,11 @@ class MemorySystem:
         return wb.stream(now, addrs, values, drain, kinds, source,
                          isolate=isolate)
 
-    def _plan_drains(self, lines):
-        """The DRAM accesses of write-buffer entries for ``lines`` (an
-        int64 array), in order: :meth:`Dram.plan_access`."""
+    def _plan_dram(self, addrs):
+        """Local DRAM accesses to ``addrs`` (an int64 array), in order:
+        :meth:`Dram.plan_access`."""
         dp = self.dram.params
-        return self.dram.plan_access(lines & LOCAL_ADDR_MASK,
+        return self.dram.plan_access(addrs & LOCAL_ADDR_MASK,
                                      dp.off_page_cycles, dp.same_bank_cycles)
 
     def _commit_run(self, addr: int, values: list) -> None:
@@ -529,6 +530,32 @@ class MemorySystem:
         """Whole-cache flush; cheaper than many line flushes."""
         self.l1.flush_all()
         return self.params.l1.flush_all_cycles
+
+
+def _plan_cache(cache: Cache, addrs):
+    """Hit mask of read-allocating accesses to ``addrs`` (an int64
+    numpy array or a ``range``) against the direct-mapped ``cache``'s
+    current tags; returns ``(hits, commit)``, and nothing changes until
+    ``commit()``."""
+    lb = cache._line_bytes
+    tags = cache._tags
+    resident = _np.full(cache._num_sets, -1, dtype=_np.int64)
+    resident[_np.fromiter(tags, _np.int64, len(tags))] = _np.fromiter(
+        tags.values(), _np.int64, len(tags)) // lb
+    before = resident.copy()
+    hits = _np.empty(len(addrs), dtype=bool)
+    for start, piece in _vk.chunks(addrs):
+        hits[start:start + len(piece)] = _vk.direct_mapped_hit_mask(
+            piece, lb, cache._num_sets, resident)
+
+    def commit():
+        changed = _np.flatnonzero(resident != before)
+        tags.update(zip(changed.tolist(), (resident[changed] * lb).tolist()))
+        nhits = int(hits.sum())
+        cache.hits += nhits
+        cache.misses += len(hits) - nhits
+
+    return hits, commit
 
 
 def t3d_memory_system() -> MemorySystem:

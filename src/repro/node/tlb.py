@@ -44,9 +44,6 @@ class Tlb:
         self.hits = 0
         self.misses = 0
 
-    def page_of(self, addr: int) -> int:
-        return addr // self._page_bytes
-
     def translate(self, addr: int) -> float:
         """Translate an access; return the cycles it adds (0 on a hit)."""
         if self._never_misses:
@@ -63,3 +60,45 @@ class Tlb:
             del entries[next(iter(entries))]
         entries[page] = None
         return self._miss_cycles
+
+    def plan_translate(self, addrs):
+        """:meth:`translate` over ``addrs`` (an int64 numpy array or a
+        ``range``), batched: ``(misses, commit)``, the positions of the
+        accesses that miss, or None when the miss cost is off the
+        exactness grid.  The LRU logic runs once per page run, on a copy
+        of the entries: a run's later accesses hit the most recent
+        entry, which leaves the order as it is.  Nothing changes until
+        ``commit()``."""
+        if self._never_misses:
+            return [], lambda: None
+        import numpy as np
+
+        from repro.node.exact import on_grid
+        from repro.vector.kernels import chunks
+
+        if not on_grid(self._miss_cycles):
+            return None
+        entries = dict(self._entries)
+        capacity = self._capacity
+        missed = []
+        last = next(reversed(entries), None)
+        for start, piece in chunks(addrs):
+            pages = piece // self._page_bytes
+            runs = np.flatnonzero(np.diff(
+                pages, prepend=pages[0] + 1 if last is None else last))
+            for k, page in zip(runs.tolist(), pages[runs].tolist()):
+                if page in entries:
+                    del entries[page]
+                else:
+                    missed.append(start + k)
+                    if len(entries) >= capacity:
+                        del entries[next(iter(entries))]
+                entries[page] = None
+            last = int(pages[-1])
+
+        def commit():
+            self._entries = entries
+            self.misses += len(missed)
+            self.hits += len(addrs) - len(missed)
+
+        return missed, commit

@@ -388,6 +388,9 @@ class MessageQueueParams:
     #: = 4950 cycles (section 7.3).
     handler_switch_cycles: float = 4950.0
 
+    def __post_init__(self) -> None:
+        _require_positive(self, "words_per_message")
+
 
 @dataclass(frozen=True)
 class AtomicParams:
@@ -401,6 +404,9 @@ class AtomicParams:
     local_cycles: float = 23.0
     #: Atomic swap between a shell register and memory, remote.
     swap_remote_cycles: float = 150.0
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "registers_per_node")
 
 
 @dataclass(frozen=True)
@@ -420,6 +426,11 @@ class AmParams:
     data_words: int = 4
     deposit_software_cycles: float = 245.0
     dispatch_software_cycles: float = 225.0
+
+    def __post_init__(self) -> None:
+        _require_positive(self, "queue_slots")
+        if self.data_words < 0:
+            raise ValueError("AmParams.data_words must be >= 0")
 
 
 @dataclass(frozen=True)

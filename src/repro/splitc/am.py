@@ -8,8 +8,9 @@ fast primitives instead:
 * an **N-to-1 request queue** lives in each node's memory; senders
   draw a slot ticket with a remote **fetch&increment** (~1 us — the
   serialization point that makes the queue multi-access safe);
-* the sender **stores** the handler id, four data words, and a
-  sequence flag into the slot (non-blocking stores, ~17 cycles each);
+* the sender **stores** the handler id, the data words (four by
+  default), and a sequence flag into the slot (non-blocking stores,
+  ~17 cycles each);
 * the receiver **polls** the head slot's flag and, when set, reads the
   payload and dispatches the registered handler on its own thread.
 
@@ -33,8 +34,6 @@ __all__ = ["ActiveMessages", "AmMessageCondition", "Dispatch"]
 
 #: Handler id used by the correct byte-write (section 4.5 repair).
 BYTE_WRITE_HANDLER = 0
-
-_SLOT_WORDS = 6          # handler id + 4 data words + sequence flag
 
 
 @dataclass
@@ -85,6 +84,8 @@ class ActiveMessages:
     def __init__(self, sc):
         self.sc = sc
         self.params = sc.ctx.node.params.shell.am
+        # A slot holds the handler id, the data words and the flag.
+        self._slot_bytes = (self.params.data_words + 2) * WORD_BYTES
         self._handlers = {BYTE_WRITE_HANDLER: _byte_write_handler}
         self._next_handler_id = 1
         self._queue_base: int | None = None
@@ -100,7 +101,7 @@ class ActiveMessages:
     def attach(self) -> None:
         """Allocate this node's request queue (symmetric offset) and
         register this endpoint as the node's AM receiver."""
-        nbytes = self.params.queue_slots * _SLOT_WORDS * WORD_BYTES
+        nbytes = self.params.queue_slots * self._slot_bytes
         self._queue_base = self.sc.all_alloc(nbytes)
         self.sc.ctx.node.atomics.set_register(0, 0)
         self.sc.ctx.node.am_endpoint = self
@@ -143,7 +144,7 @@ class ActiveMessages:
         ctx.charge(cycles)
 
         # Store handler id, payload, and the sequence flag into the slot.
-        slot = base + (ticket % self.params.queue_slots) * _SLOT_WORDS * WORD_BYTES
+        slot = base + (ticket % self.params.queue_slots) * self._slot_bytes
         words = [handler_id, *args]
         words += [0] * (1 + self.params.data_words - len(words))
         words.append(ticket + 1)                  # sequence flag, last

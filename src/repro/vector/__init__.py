@@ -1,8 +1,7 @@
 """The vectorized compute tier: numpy structure-of-arrays probe kernels.
 
-The local-memory probes (Figures 1 and 2, and the streaming point of
-section 2.2, one cold pass of Figure 1's probe) have **two** compute
-tiers, selected per point and always bit-identical:
+The local-write probe (Figure 2) has **two** compute tiers, selected
+per point and always bit-identical:
 
 1. **reference** — the per-access loop in
    :func:`repro.microbench.harness.run_stride_point`, one simulated
@@ -10,10 +9,10 @@ tiers, selected per point and always bit-identical:
    golden source of truth.
 2. **vectorized** (this package) — the whole address stream of one
    (size, stride) point is generated up front as numpy arrays and the
-   cache/TLB/DRAM-page/write-buffer timing is computed with vectorized
-   tag arithmetic (set-index diffs, per-bank row diffs, modular
-   sawtooth structure).  Exactness is an argument, not a hope: the
-   builders decline unless every cycle value they add is a multiple of
+   TLB/DRAM-page/write-buffer timing is computed with vectorized
+   arithmetic (per-bank row diffs, modular sawtooth structure).
+   Exactness is an argument, not a hope: the builders decline unless
+   every cycle value they add is a multiple of
    ``2**-8`` (:func:`repro.node.exact.on_grid`) and the write buffer's
    depth is a power of two, and all totals stay far below ``2**44``,
    so float64 addition never rounds and any summation order
@@ -26,16 +25,16 @@ The tier runs while :func:`repro.tiers.fast` is on;
 turns it off with every other fast path.
 
 A stimulus the kernels cannot express — data-dependent control flow,
-set-associative caches, cycle values off the exactness grid, a machine
-shape outside the probe's claim — raises :class:`UnsupportedStimulus`;
+cycle values off the exactness grid, a machine shape outside the
+probe's claim — raises :class:`UnsupportedStimulus`;
 the harness catches it and runs the reference loop for that point.
 :data:`CLAIMED_FAMILIES` records, per probe family, whether the tier
 claims it at all; the unclaimed families are claimed *not to be
 claimed* by ``tests/vector/test_fallback.py``.
 
-Remote reads (Figure 4) have no kernel here: their probe times each
-point as one plan of the shell's own remote-read model
-(:func:`repro.microbench.probes.remote_read_probe`).
+Reads have no kernel here: their probes time each point as one plan
+of the node's or the shell's own read model
+(:mod:`repro.microbench.probes`).
 """
 
 from __future__ import annotations
@@ -58,9 +57,10 @@ class UnsupportedStimulus(Exception):
     answer."""
 
 
-#: Probe family -> does the vectorized tier claim it?  The unclaimed
-#: families all have timing that is coupled to observable machine
-#: state or to data-dependent control flow:
+#: Probe family -> does the vectorized tier claim it?  It claims
+#: ``local_write`` only.  The unclaimed families all have timing that
+#: is coupled to observable machine state or to data-dependent control
+#: flow:
 #:
 #: * ``remote_write`` / ``nonblocking_write`` — every store schedules a
 #:   write-buffer ``on_retire`` callback that appends acknowledgement
@@ -76,7 +76,6 @@ class UnsupportedStimulus(Exception):
 #:   data-dependent; the app batches it through
 #:   ``MemorySystem.plan_block`` instead.
 CLAIMED_FAMILIES = {
-    "local_read": True,
     "local_write": True,
     "remote_write": False,
     "nonblocking_write": False,

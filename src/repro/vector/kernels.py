@@ -86,12 +86,14 @@ def sawtooth_addresses(base: int, stride: int, count: int,
     return np.tile(one_pass, npasses)
 
 
-def chunks(addrs, size: int = 2048):
+def chunks(addrs, size: int = 16384):
     """Yield ``(start, array)`` pieces of at most ``size`` addresses of
     ``addrs`` (an int64 array or a ``range``, generated per piece), so
     a long stream's temporaries stay small.  The warm-state kernels
     chain exactly across pieces: each piece's end state is the next
-    one's start state."""
+    one's start state.  (At 2,048 the pieces' fixed numpy cost made
+    Figure 1's workstation sweep ~1.5x slower; past 16,384 the
+    temporaries outgrow the host's caches.)"""
     for start in range(0, len(addrs), size):
         piece = addrs[start:start + size]
         if isinstance(piece, range):

@@ -1,4 +1,4 @@
-"""Per-family batched sweep builders for the vectorized tier.
+"""Batched sweep builders for the vectorized tier (Figure 2's writes).
 
 :func:`build` turns probe geometry (a node's frozen parameter
 object) into a ``sweep_fn`` with the harness
@@ -30,7 +30,6 @@ from repro.node.exact import on_grid
 from repro.params import LOCAL_ADDR_MASK, NodeParams
 from repro.vector import UnsupportedStimulus
 from repro.vector.kernels import (
-    direct_mapped_hit_mask,
     dram_cost_stream,
     sawtooth_addresses,
     tlb_cost_stream,
@@ -50,95 +49,10 @@ def build(family: str, **geometry):
     return builder(**geometry)
 
 
-# ----------------------------------------------------------------------
-# Shared validation and cost composition
-# ----------------------------------------------------------------------
-
-def _check_node_geometry(p: NodeParams, *, caches: bool = True) -> None:
-    """The node shapes the kernels claim: direct-mapped caches, an LRU
-    TLB with at least one entry, a positive DRAM bank count, and DRAM
-    and TLB costs on the exactness grid (plus the cache hit costs when
-    ``caches``)."""
-    if caches:
-        if p.l1.associativity != 1:
-            raise UnsupportedStimulus("set-associative L1")
-        if p.l2 is not None and p.l2.associativity != 1:
-            raise UnsupportedStimulus("set-associative L2")
-        _require_grid(p.l1.hit_cycles,
-                      *(() if p.l2 is None else (p.l2.hit_cycles,)))
-    if not p.tlb.never_misses:
-        if p.tlb.entries < 1:
-            raise UnsupportedStimulus("TLB without entries")
-        _require_grid(p.tlb.miss_cycles)
-    if p.dram.banks < 1:
-        raise UnsupportedStimulus("DRAM without banks")
-    _require_grid(p.dram.access_cycles, p.dram.off_page_cycles,
-                  p.dram.same_bank_cycles)
-
-
 def _require_grid(*cycles: float) -> None:
     """Decline unless every cycle value is on the exactness grid."""
     if not all(on_grid(x) for x in cycles):
         raise UnsupportedStimulus("cycle value off the exactness grid")
-
-
-def _local_read_costs(p: NodeParams, addrs: np.ndarray,
-                      npasses: int) -> np.ndarray:
-    """Per-access cost array twin of
-    :meth:`~repro.node.memsys.MemorySystem.read_cycles`: TLB translate,
-    then L1 (read-allocate), then L2 when present, then local DRAM.
-    ``addrs`` is the full ``npasses``-pass stream.
-    """
-    count = len(addrs) // npasses
-    if p.tlb.never_misses:
-        costs = np.zeros(len(addrs), dtype=np.float64)
-    else:
-        costs = tlb_cost_stream(
-            addrs[:count], npasses, page_bytes=p.tlb.page_bytes,
-            capacity=p.tlb.entries, miss_cycles=p.tlb.miss_cycles)
-    l1_hits = direct_mapped_hit_mask(addrs, p.l1.line_bytes, p.l1.num_sets)
-    costs[l1_hits] += p.l1.hit_cycles
-    miss_addrs = addrs[~l1_hits]
-    dram = p.dram
-    if p.l2 is None:
-        costs[~l1_hits] += dram_cost_stream(
-            miss_addrs & LOCAL_ADDR_MASK, interleave=dram.bank_interleave_bytes,
-            banks=dram.banks, page_bytes=dram.page_bytes,
-            access_cycles=dram.access_cycles,
-            off_page_cycles=dram.off_page_cycles,
-            same_bank_cycles=dram.same_bank_cycles)
-        return costs
-    l2_hits = direct_mapped_hit_mask(miss_addrs, p.l2.line_bytes,
-                                     p.l2.num_sets)
-    beyond_l1 = np.empty(len(miss_addrs), dtype=np.float64)
-    beyond_l1[l2_hits] = p.l2.hit_cycles
-    beyond_l1[~l2_hits] = dram_cost_stream(
-        miss_addrs[~l2_hits] & LOCAL_ADDR_MASK,
-        interleave=dram.bank_interleave_bytes, banks=dram.banks,
-        page_bytes=dram.page_bytes, access_cycles=dram.access_cycles,
-        off_page_cycles=dram.off_page_cycles,
-        same_bank_cycles=dram.same_bank_cycles)
-    costs[~l1_hits] += beyond_l1
-    return costs
-
-
-# ----------------------------------------------------------------------
-# local_read (Figure 1)
-# ----------------------------------------------------------------------
-
-def _build_local_read(*, node_params: NodeParams):
-    _check_node_geometry(node_params)
-    p = node_params
-
-    def sweep(base, stride, count, warmup_passes, measure_passes):
-        validate_point(base, stride, count, warmup_passes, measure_passes)
-        npasses = warmup_passes + measure_passes
-        addrs = sawtooth_addresses(base, stride, count, npasses)
-        costs = _local_read_costs(p, addrs, npasses)
-        total = float(costs[warmup_passes * count:].sum())
-        return total, count * measure_passes
-
-    return sweep
 
 
 # ----------------------------------------------------------------------
@@ -146,18 +60,19 @@ def _build_local_read(*, node_params: NodeParams):
 # ----------------------------------------------------------------------
 
 def _build_local_write(*, node_params: NodeParams):
-    _check_node_geometry(node_params, caches=False)
     p = node_params
     depth = p.write_buffer.entries
-    if depth < 1 or depth & (depth - 1):
+    if depth & (depth - 1):
         raise UnsupportedStimulus("write buffer depth not a power of two")
     dram = p.dram
     drains = (dram.access_cycles,
               dram.access_cycles + dram.off_page_cycles,
               dram.access_cycles + dram.off_page_cycles
               + dram.same_bank_cycles)
-    _require_grid(p.write_buffer.issue_cycles,
-                  *(drain / depth for drain in drains))
+    _require_grid(dram.access_cycles, dram.off_page_cycles,
+                  dram.same_bank_cycles, p.write_buffer.issue_cycles,
+                  *(drain / depth for drain in drains),
+                  *(() if p.tlb.never_misses else (p.tlb.miss_cycles,)))
 
     def sweep(base, stride, count, warmup_passes, measure_passes):
         """Twin of the per-store :meth:`MemorySystem.write_cycles`
@@ -416,6 +331,5 @@ def _write_passes_generic(lines_np, npasses, count, warmup_passes,
 
 
 _BUILDERS = {
-    "local_read": _build_local_read,
     "local_write": _build_local_write,
 }

@@ -152,7 +152,7 @@ def _check(draw) -> bool:
     write_buffer._CLOSED_CHUNK = draw["chunk"]
     try:
         got = ms.write_buffer.stream_closed(start, addrs, values,
-                                            ms._plan_drains, source)
+                                            ms._plan_dram, source)
     finally:
         write_buffer._CLOSED_CHUNK = chunk
     if got is None:

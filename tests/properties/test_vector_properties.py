@@ -1,9 +1,11 @@
-"""Property-based tier identity for the vectorized probe kernels.
+"""Property-based tier identity for the batched local probe sweeps.
 
 Hypothesis drives random point geometry (base, stride, access count,
 pass counts) through both compute tiers of one (size, stride) point
 and asserts identical totals — the per-point analogue of the
 curve-level golden suite in ``tests/test_vector_equivalence.py``.
+Reads are batched by the node's own read plan
+(``probes._local_read_sweep``), writes by the vectorized tier.
 
 The explicit edge-case table below pins the boundary geometry that the
 analytic kernels reason about in closed form, so each regime is
@@ -26,6 +28,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.microbench.probes import _local_read_sweep
 from repro.node.memsys import t3d_memory_system, workstation_memory_system
 from repro.vector import stride_sweep_fn
 
@@ -55,12 +58,16 @@ def _reference_total(access_fn, reset_fn, base, stride, count,
 def _assert_two_way(family, make_memsys, base, stride, count,
                     warmup_passes, measure_passes):
     ms = make_memsys()
-    access_fn = ms.read_cycles if family == "local_read" else ms.write_cycles
-    vec_fn = stride_sweep_fn(family, node_params=ms.params)
-    assert vec_fn is not None, "vector tier must claim local probes"
+    if family == "local_read":
+        access_fn, vec_fn = ms.read_cycles, _local_read_sweep(ms)
+    else:
+        access_fn = ms.write_cycles
+        vec_fn = stride_sweep_fn(family, node_params=ms.params)
+    assert vec_fn is not None, "the fast paths must batch local probes"
 
     ref = _reference_total(access_fn, ms.reset, base, stride, count,
                            warmup_passes, measure_passes)
+    ms.reset()              # the harness cold-starts before a sweep
     vec = vec_fn(base, stride, count, warmup_passes, measure_passes)
     assert vec == ref
 

@@ -1,9 +1,11 @@
 """Integration tests for software Active Messages (paper section 7.4)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.machine.machine import Machine
-from repro.params import cycles_to_us, t3d_machine_params
+from repro.params import AmParams, WORD_BYTES, cycles_to_us, t3d_machine_params
 from repro.splitc.am import ActiveMessages
 from repro.splitc.gptr import GlobalPtr
 from repro.splitc.runtime import run_splitc
@@ -155,3 +157,32 @@ def test_send_requires_attach_and_registration(machine):
 
     results, _ = run_splitc(machine, program)
     assert results[0] == ["unattached", "unregistered", "oversize"]
+
+
+def test_wide_deposits_keep_to_their_slots():
+    """A slot holds the handler id, ``data_words`` data words and the
+    sequence flag, so with six data words the second deposit leaves the
+    first one's words as they were."""
+    params = t3d_machine_params((2, 1, 1))
+    machine = Machine(replace(params, shell=replace(
+        params.shell, am=AmParams(data_words=6))))
+
+    def program(sc):
+        am = ActiveMessages(sc)
+        h = am.register_handler(lambda am_, src, *args: args)
+        am.attach()
+        yield from sc.barrier()
+        if sc.my_pe == 0:
+            am.send(1, h, 1, 2, 3, 4, 5, 6)
+            am.send(1, h, 7, 8, 9, 10, 11, 12)
+            sc.ctx.memory_barrier()
+        yield from sc.barrier()
+        return h, am._queue_base
+
+    results, _ = run_splitc(machine, program)
+    h, base = results[1]
+    memory = machine.node(1).memsys.memory
+    slot_words = 6 + 2
+    slots = [[memory.load(base + (s * slot_words + i) * WORD_BYTES)
+              for i in range(slot_words)] for s in range(2)]
+    assert slots == [[h, 1, 2, 3, 4, 5, 6, 1], [h, 7, 8, 9, 10, 11, 12, 2]]

@@ -356,7 +356,7 @@ def test_put_scatter_runs_identical_in_full_state(monkeypatch, node,
                 _machine_fingerprint(machine))
 
     _assert_identical(_two_way(scenario))
-    expect = node == "t3d" and factory is SingleAnnexPolicy and not short
+    expect = factory is SingleAnnexPolicy and not short
     assert streamed == ([True] * 2 * params.num_nodes if expect else [])
 
 

@@ -115,11 +115,20 @@ def test_describe_summarizes_the_machine():
     (P.TlbParams, "entries"),
     (P.TlbParams, "page_bytes"),
     (P.PrefetchParams, "queue_depth"),
+    (P.MessageQueueParams, "words_per_message"),
+    (P.AtomicParams, "registers_per_node"),
+    (P.AmParams, "queue_slots"),
 ])
 @pytest.mark.parametrize("value", [0, -1])
 def test_impossible_geometry_is_rejected_at_construction(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
+
+
+def test_am_data_words_may_be_zero_but_not_negative():
+    with pytest.raises(ValueError, match="data_words"):
+        P.AmParams(data_words=-1)
+    P.AmParams(data_words=0)
 
 
 @pytest.mark.parametrize("entries", [1, 0, -1])

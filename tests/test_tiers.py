@@ -19,6 +19,7 @@ from repro.apps.em3d.graph import make_graph
 from repro.machine.cohort import cohort_enabled
 from repro.machine.machine import Machine
 from repro.microbench import probes
+from repro.node.memsys import MemorySystem
 from repro.params import WORD_BYTES, t3d_machine_params
 from repro.shell.remote import RemoteAccessUnit
 from repro.splitc import bulk
@@ -55,8 +56,8 @@ def test_switch_reads_off_inside_reference():
         assert not tiers.fast()
         assert not vector.enabled()
         assert not cohort_enabled()
-        assert vector.stride_sweep_fn(
-            "local_read", node_params=t3d_machine_params().node) is None
+        assert probes._local_read_sweep(
+            MemorySystem(t3d_machine_params().node)) is None
     assert tiers.fast() and vector.enabled() and cohort_enabled()
 
 

@@ -1,13 +1,15 @@
-"""Golden equivalence: vectorized == reference.
+"""Golden equivalence: batched probe points == reference.
 
-The vectorized tier (:mod:`repro.vector`) joins the fast paths of
+The batched probe sweeps join the fast paths of
 ``tests/test_fastpath_equivalence.py`` under the same doctrine: a tier
 is correct only if it reproduces the reference model *bit for bit* —
-same floats, same access counts — across every claimed probe family
-and machine shape.  Each test runs one probe on a cold machine on both
+same floats, same access counts — across every probe family and
+machine shape.  Each test runs one probe on a cold machine on both
 probe tiers:
 
-* **vectorized** — the default: the numpy tier;
+* **batched** — the default: local reads as one plan of the node's
+  read model, remote reads as one plan of the shell's, local writes on
+  the numpy tier (:mod:`repro.vector`);
 * **reference** — under :func:`repro.tiers.reference`: the per-access
   harness loop.
 
@@ -36,6 +38,7 @@ from repro.params import (
     workstation_node_params,
 )
 from repro.splitc import runtime
+from repro.vector import UnsupportedStimulus
 
 KB = 1024
 
@@ -173,10 +176,18 @@ OFF_GRID = {
                          ids=["read", "write"])
 @pytest.mark.parametrize("machine", list(OFF_GRID))
 def test_off_grid_machines_match_reference(machine, probe):
-    """Off the grid the vectorized tier must decline, not round
+    """Off the grid the batched tier must decline, not round
     differently: the default probe equals the reference point for
-    point."""
+    point.  The read plan declines every machine but the one whose
+    off-grid unit, the write buffer, reads never touch."""
     params = OFF_GRID[machine]()
+    if probe is probes.local_read_probe:
+        sweep = probes._local_read_sweep(MemorySystem(params))
+        if machine == "write-buffer-3-deep":
+            assert sweep(0, 8, 4, 1, 2)[1] == 8
+        else:
+            with pytest.raises(UnsupportedStimulus):
+                sweep(0, 8, 4, 1, 2)
     got = probe(MemorySystem(params), sizes=PROBE_SIZES, memo_key=None)
     want = probe(MemorySystem(params), sizes=PROBE_SIZES, sweep_fn=None,
                  memo_key=None)

@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from dataclasses import replace
+
 from repro import tiers, vector
 from repro.microbench.harness import PointSpec, run_stride_point
-from repro.node.memsys import t3d_memory_system
+from repro.microbench.probes import _local_read_sweep
+from repro.node.memsys import MemorySystem, t3d_memory_system
+from repro.params import CacheParams, t3d_node_params
 from repro.vector import UnsupportedStimulus
 
 
@@ -30,12 +34,11 @@ def test_claimed_families_pinned():
     """The per-family claim decisions are part of the tier's contract:
     the unclaimed families couple timing to observable machine state or
     data-dependent control flow (see the table's docstring), so a
-    change here needs a matching exactness argument.  Remote reads are
-    not a family here: their probe times each point as one plan of the
-    shell's remote-read model, and the streaming probe is one
-    ``local_read`` point."""
+    change here needs a matching exactness argument.  Reads are not a
+    family here: their probes time each point as one plan of the
+    node's or the shell's own read model, and the streaming probe is
+    one Figure 1 point."""
     assert vector.CLAIMED_FAMILIES == {
-        "local_read": True,
         "local_write": True,
         "remote_write": False,
         "nonblocking_write": False,
@@ -58,7 +61,8 @@ def test_env_disables_tier(monkeypatch, value):
     monkeypatch.setenv(tiers.ENV, value)
     assert not vector.enabled()
     ms = t3d_memory_system()
-    assert vector.stride_sweep_fn("local_read",
+    assert _local_read_sweep(ms) is None
+    assert vector.stride_sweep_fn("local_write",
                                   node_params=ms.params) is None
 
 
@@ -71,16 +75,21 @@ def test_env_enabled_by_default():
 # ----------------------------------------------------------------------
 
 def test_unsupported_point_routes_to_fallback():
-    """The kernel declines a point it cannot express with
+    """The read sweep declines a point it cannot express with
     UnsupportedStimulus (the harness then runs the reference loop) and
-    answers a canonical one."""
+    answers a canonical one; a node whose read plan declines (a
+    set-associative L1) declines every point."""
     ms = t3d_memory_system()
-    sweep = vector.stride_sweep_fn("local_read", node_params=ms.params)
-    assert sweep is not None             # the tier claimed the family
+    sweep = _local_read_sweep(ms)
+    assert sweep is not None             # the fast paths are on
     with pytest.raises(UnsupportedStimulus):
         sweep(0, -8, 4, 1, 2)            # non-canonical geometry
     total, count = sweep(0, 8, 4, 1, 2)
     assert count == 8 and total > 0
+    two_way = MemorySystem(replace(t3d_node_params(),
+                                   l1=CacheParams(associativity=2)))
+    with pytest.raises(UnsupportedStimulus):
+        _local_read_sweep(two_way)(0, 8, 4, 1, 2)
 
 
 def test_harness_falls_back_to_reference_loop():
